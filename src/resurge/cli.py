@@ -1,13 +1,22 @@
 """Command-line pipeline: curate, granger, bass, ccdf, pipeline.
 
-Later stages re-run the earlier ones in memory from the same inputs, so
-``pipeline`` writes byte-identical files to running the stages one by one.
-Every output file is ``<command>_<schema>.<ext>`` inside --out-dir.
+The analysis runs in stages of fixed order: curate, then granger, then bass;
+ccdf stands apart and reads only the manifest.  Each command names the
+stages whose files it writes (``_COMMANDS``).  A run first computes in
+memory every stage up to the last of those (``_run``), re-running the
+earlier ones from the same inputs, and writes nothing until all of them have
+succeeded; an input error therefore exits 1 and leaves --out-dir alone.
+Then one writer per stage writes that stage's files and prints its summary.
+So ``pipeline`` writes the same bytes, and prints the same lines, as
+``curate``, ``granger`` and ``bass`` run one after another.
+
+Every output file is ``<stage>_<schema>.<ext>`` inside --out-dir.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import sys
 from dataclasses import dataclass, field
@@ -81,22 +90,24 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--manifest", type=Path, help="dataset manifest (JSON)")
     common.add_argument("--catalog", type=Path, help="release catalog CSV")
     common.add_argument("--allowlist", type=Path, help="manually curated song ids, one per line")
-    common.add_argument("--cutoff-date", type=_parse_iso_date, default=curation.DEFAULT_CUTOFF,
+    common.add_argument("--cutoff-date", type=_parse_iso_date,
                         help="latest allowed release date (ISO), default %(default)s")
-    common.add_argument("--min-points", type=int, default=curation.DEFAULT_MIN_POINTS,
+    common.add_argument("--min-points", type=int,
                         help="minimum points in the processed window, default %(default)s")
-    common.add_argument("--peak-threshold", type=float, default=0.05,
+    common.add_argument("--peak-threshold", type=float,
                         help="peak-window threshold fraction, default %(default)s")
-    common.add_argument("--peak-basis", choices=("total", "peak"), default="total",
+    common.add_argument("--peak-basis", choices=("total", "peak"),
                         help="whether the threshold fraction applies to the series total or the peak value")
-    common.add_argument("--lag-min", type=int, default=1, help="smallest lag to sweep, default %(default)s")
-    common.add_argument("--lag-max", type=int, default=5, help="largest lag to sweep, default %(default)s")
-    common.add_argument("--alpha", type=float, default=granger.DEFAULT_ALPHA,
+    common.add_argument("--lag-min", type=int, help="smallest lag to sweep, default %(default)s")
+    common.add_argument("--lag-max", type=int, help="largest lag to sweep, default %(default)s")
+    common.add_argument("--alpha", type=float,
                         help="significance level for the causality verdict, default %(default)s")
-    common.add_argument("--bass-rmse-max", type=float, default=0.05,
+    common.add_argument("--bass-rmse-max", type=float,
                         help="rmse ceiling a diffusion fit must meet to be flagged acceptable, default %(default)s")
-    common.add_argument("--out-dir", type=Path, default=Path("out"), help="output directory, default %(default)s")
-    common.add_argument("--format", choices=_FORMATS, default="jsonl", help="report format, default %(default)s")
+    common.add_argument("--out-dir", type=Path, help="output directory, default %(default)s")
+    common.add_argument("--format", choices=_FORMATS, help="report format, default %(default)s")
+    # after the arguments exist, so that %(default)s shows these values
+    common.set_defaults(**dataclasses.asdict(RunConfig()))
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, description in (
@@ -111,59 +122,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        manifest=args.manifest,
-        catalog=args.catalog,
-        allowlist=args.allowlist,
-        cutoff_date=args.cutoff_date,
-        min_points=args.min_points,
-        peak_threshold=args.peak_threshold,
-        peak_basis=args.peak_basis,
-        lag_min=args.lag_min,
-        lag_max=args.lag_max,
-        alpha=args.alpha,
-        bass_rmse_max=args.bass_rmse_max,
-        out_dir=args.out_dir,
-        format=args.format,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
-def _require(config: RunConfig, *, catalog: bool) -> str | None:
-    if config.manifest is None:
-        return "--manifest is required"
-    if catalog and config.catalog is None:
-        return "--catalog is required"
-    return None
-
-
-def _load_inputs(config: RunConfig, *, catalog: bool):
-    records = ingest.load_dataset(config.manifest)
-    entries = ingest.parse_catalog_file(config.catalog) if catalog else []
-    allowed = ingest.parse_allowlist(config.allowlist) if config.allowlist else []
-    return records, entries, allowed
-
-
-def _run_curation(config: RunConfig):
-    records, entries, allowed = _load_inputs(config, catalog=True)
-    return curation.curate(
-        records,
-        entries,
-        cutoff_date=config.cutoff_date,
-        min_points=config.min_points,
-        allowlist=allowed,
-        peak_threshold=config.peak_threshold,
-        peak_basis=config.peak_basis,
-    )
-
-
-def _out_path(config: RunConfig, command: str, schema: str, ext: str | None = None) -> Path:
-    suffix = ext if ext is not None else config.format
-    return config.out_dir / f"{command}_{schema}.{suffix}"
+def _write_report(config: RunConfig, name: str, rows: list[dict], fields: list[str]) -> None:
+    ingest.write_report(rows, fields, config.out_dir / f"{name}.{config.format}", config.format)
 
 
 # --- report rows ------------------------------------------------------------
@@ -332,190 +295,146 @@ def _ccdf_rows(totals: list[float]) -> tuple[list[dict], list[dict]]:
     return point_rows, summary
 
 
-# --- commands ---------------------------------------------------------------
+# --- stages -----------------------------------------------------------------
+
+# command -> the stages whose files it writes, in order
+_COMMANDS = {
+    "curate": ("curate",),
+    "granger": ("granger",),
+    "bass": ("bass",),
+    "pipeline": ("curate", "granger", "bass"),
+    "ccdf": ("ccdf",),
+}
 
 
-def _write_curation_outputs(config: RunConfig, kept, report) -> None:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    ingest.write_report(
-        _curation_rows(report), _CURATE_FIELDS, _out_path(config, "curate", "report"), config.format
+@dataclass
+class _Result:
+    """What the stages of one run computed; unset for stages not run."""
+
+    kept: list[curation.SongRecord] = field(default_factory=list)
+    report: curation.CurationReport | None = None
+    batch: granger.GrangerBatch | None = None
+    flagged: list[curation.SongRecord] = field(default_factory=list)
+    fits: bass_mod.BassBatch | None = None
+    totals: list[float] = field(default_factory=list)
+
+
+def _run(config: RunConfig, through: str) -> _Result:
+    """Load the inputs and compute every stage up to ``through``; writes nothing."""
+    records = ingest.load_dataset(config.manifest)
+    result = _Result()
+    if through == "ccdf":
+        if not records:
+            raise ValueError("manifest lists no songs")
+        result.totals = [record.short_video_series.total() for record in records]
+        return result
+    entries = ingest.parse_catalog_file(config.catalog)
+    allowed = ingest.parse_allowlist(config.allowlist) if config.allowlist else []
+    result.kept, result.report = curation.curate(
+        records,
+        entries,
+        cutoff_date=config.cutoff_date,
+        min_points=config.min_points,
+        allowlist=allowed,
+        peak_threshold=config.peak_threshold,
+        peak_basis=config.peak_basis,
     )
+    if through == "curate":
+        return result
+    result.batch = granger.batch_granger(result.kept, lags=config.lag_spec, alpha=config.alpha)
+    if through == "granger":
+        return result
+    causal_ids = {
+        item.song_id for item in result.batch.items if item.result is not None and item.result.causal
+    }
+    result.flagged = [record for record in result.kept if record.song_id in causal_ids]
+    result.fits = bass_mod.batch_bass(result.flagged)
+    return result
+
+
+# --- writers: one per stage, each writes its files and prints its summary ---------
+
+
+def _write_curate(config: RunConfig, result: _Result) -> None:
+    _write_report(config, "curate_report", _curation_rows(result.report), _CURATE_FIELDS)
     series_dir = config.out_dir / "curate_series"
     series_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for record in kept:
+    for record in result.kept:
         sv_name = f"curate_series/{record.song_id}__short_video.csv"
         ws_name = f"curate_series/{record.song_id}__web_search.csv"
         ingest.write_series_file(record.short_video_series, config.out_dir / sv_name)
         ingest.write_series_file(record.web_search_series, config.out_dir / ws_name)
-        entries.append(
-            ingest.ManifestEntry(
-                song_id=record.song_id,
-                display_title=record.display_title,
-                short_video=sv_name,
-                web_search=ws_name,
-            )
-        )
+        entries.append(ingest.ManifestEntry(record.song_id, record.display_title, sv_name, ws_name))
     ingest.write_manifest(
         ingest.DatasetManifest(format_version=ingest.MANIFEST_FORMAT_VERSION, songs=tuple(entries)),
-        _out_path(config, "curate", "manifest", "json"),
+        config.out_dir / "curate_manifest.json",
     )
-
-
-def _print_funnel(report: curation.CurationReport) -> None:
-    for name, count in report.funnel:
+    for name, count in result.report.funnel:
         print(f"{name}: {count}")
+    print(f"kept {len(result.kept)} songs")
 
 
-def _run_granger(config: RunConfig):
-    kept, report = _run_curation(config)
-    batch = granger.batch_granger(kept, lags=config.lag_spec, alpha=config.alpha)
-    return kept, report, batch
-
-
-def _write_granger_outputs(config: RunConfig, batch) -> None:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    ingest.write_report(
-        _granger_rows(batch), _GRANGER_FIELDS, _out_path(config, "granger", "report"), config.format
-    )
-    ingest.write_report(
-        _histogram_rows(batch), _HISTOGRAM_FIELDS, _out_path(config, "granger", "histogram"), config.format
-    )
-
-
-def _run_bass(config: RunConfig, kept, batch):
-    causal_ids = {
-        item.song_id for item in batch.items if item.result is not None and item.result.causal
-    }
-    flagged = [record for record in kept if record.song_id in causal_ids]
-    return flagged, bass_mod.batch_bass(flagged)
-
-
-def _write_bass_outputs(config: RunConfig, bass_batch, kept) -> None:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    ingest.write_report(
-        _bass_rows(bass_batch, config), _BASS_FIELDS, _out_path(config, "bass", "report"), config.format
-    )
-    ingest.write_report(
-        _scatter_rows(bass_batch), _SCATTER_FIELDS, _out_path(config, "bass", "scatter"), config.format
-    )
-    ingest.write_report(
-        _overlay_rows(bass_batch, kept), _OVERLAY_FIELDS, _out_path(config, "bass", "overlay"), config.format
-    )
-
-
-def cmd_curate(config: RunConfig) -> int:
-    missing = _require(config, catalog=True)
-    if missing:
-        return _fail(missing)
-    try:
-        kept, report = _run_curation(config)
-    except (OSError, ingest.ParseError, ValueError) as exc:
-        return _fail(str(exc))
-    _write_curation_outputs(config, kept, report)
-    _print_funnel(report)
-    print(f"kept {len(kept)} songs")
-    return 0
-
-
-def cmd_granger(config: RunConfig) -> int:
-    missing = _require(config, catalog=True)
-    if missing:
-        return _fail(missing)
-    try:
-        kept, report, batch = _run_granger(config)
-    except (OSError, ingest.ParseError, ValueError) as exc:
-        return _fail(str(exc))
-    _write_granger_outputs(config, batch)
+def _write_granger(config: RunConfig, result: _Result) -> None:
+    batch = result.batch
+    _write_report(config, "granger_report", _granger_rows(batch), _GRANGER_FIELDS)
+    _write_report(config, "granger_histogram", _histogram_rows(batch), _HISTOGRAM_FIELDS)
     print(
         f"causality screen: {batch.n_causal} of {batch.n_tested} tested songs "
         f"flagged at alpha={config.alpha:g} ({batch.n_failed} failed)"
     )
-    return 0
 
 
-def cmd_bass(config: RunConfig) -> int:
-    missing = _require(config, catalog=True)
-    if missing:
-        return _fail(missing)
-    try:
-        kept, report, batch = _run_granger(config)
-        flagged, bass_batch = _run_bass(config, kept, batch)
-    except (OSError, ingest.ParseError, ValueError) as exc:
-        return _fail(str(exc))
-    _write_bass_outputs(config, bass_batch, flagged)
+def _write_bass(config: RunConfig, result: _Result) -> None:
+    fits = result.fits
+    _write_report(config, "bass_report", _bass_rows(fits, config), _BASS_FIELDS)
+    _write_report(config, "bass_scatter", _scatter_rows(fits), _SCATTER_FIELDS)
+    _write_report(config, "bass_overlay", _overlay_rows(fits, result.flagged), _OVERLAY_FIELDS)
     print(
-        f"diffusion fits: {bass_batch.n_fits} fits over {len(flagged)} flagged songs "
-        f"({bass_batch.n_failed} failed)"
+        f"diffusion fits: {fits.n_fits} fits over {len(result.flagged)} flagged songs "
+        f"({fits.n_failed} failed)"
     )
-    return 0
 
 
-def cmd_ccdf(config: RunConfig) -> int:
-    missing = _require(config, catalog=False)
-    if missing:
-        return _fail(missing)
-    try:
-        records = ingest.load_dataset(config.manifest)
-    except (OSError, ingest.ParseError, ValueError) as exc:
-        return _fail(str(exc))
-    if not records:
-        return _fail("manifest lists no songs")
-    totals = [record.short_video_series.total() for record in records]
-    point_rows, summary_rows = _ccdf_rows(totals)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    ingest.write_report(point_rows, _CCDF_POINT_FIELDS, _out_path(config, "ccdf", "points"), config.format)
-    ingest.write_report(summary_rows, _CCDF_SUMMARY_FIELDS, _out_path(config, "ccdf", "summary"), config.format)
+def _write_ccdf(config: RunConfig, result: _Result) -> None:
+    point_rows, summary_rows = _ccdf_rows(result.totals)
+    _write_report(config, "ccdf_points", point_rows, _CCDF_POINT_FIELDS)
+    _write_report(config, "ccdf_summary", summary_rows, _CCDF_SUMMARY_FIELDS)
     s = summary_rows[0]
     print(
         f"popularity over {s['n_songs']} songs: min {s['min']:.12g}, "
         f"q1 {s['q1']:.12g}, median {s['median']:.12g}, q3 {s['q3']:.12g}, max {s['max']:.12g}"
     )
-    return 0
 
 
-def cmd_pipeline(config: RunConfig) -> int:
-    missing = _require(config, catalog=True)
-    if missing:
-        return _fail(missing)
-    try:
-        kept, report = _run_curation(config)
-        batch = granger.batch_granger(kept, lags=config.lag_spec, alpha=config.alpha)
-        flagged, bass_batch = _run_bass(config, kept, batch)
-    except (OSError, ingest.ParseError, ValueError) as exc:
-        return _fail(str(exc))
-    _write_curation_outputs(config, kept, report)
-    _write_granger_outputs(config, batch)
-    _write_bass_outputs(config, bass_batch, flagged)
-    _print_funnel(report)
-    print(f"kept {len(kept)} songs")
-    print(
-        f"causality screen: {batch.n_causal} of {batch.n_tested} tested songs "
-        f"flagged at alpha={config.alpha:g} ({batch.n_failed} failed)"
-    )
-    print(
-        f"diffusion fits: {bass_batch.n_fits} fits over {len(flagged)} flagged songs "
-        f"({bass_batch.n_failed} failed)"
-    )
-    return 0
-
-
-_COMMANDS = {
-    "curate": cmd_curate,
-    "granger": cmd_granger,
-    "bass": cmd_bass,
-    "ccdf": cmd_ccdf,
-    "pipeline": cmd_pipeline,
+_WRITERS = {
+    "curate": _write_curate,
+    "granger": _write_granger,
+    "bass": _write_bass,
+    "ccdf": _write_ccdf,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    stages = _COMMANDS[args.command]
+    through = stages[-1]
+    # ParseError is a ValueError: bad flag values and unreadable or malformed
+    # inputs all end here, before anything is written
     try:
         config = _config_from_args(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    return _COMMANDS[args.command](config)
+        if config.manifest is None:
+            raise ValueError("--manifest is required")
+        if through != "ccdf" and config.catalog is None:
+            raise ValueError("--catalog is required")
+        result = _run(config, through)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    for stage in stages:
+        _WRITERS[stage](config, result)
+    return 0
 
 
 if __name__ == "__main__":

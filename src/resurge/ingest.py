@@ -243,39 +243,31 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     )
 
 
+def _read_song_series(manifest_path: Path, song_id: str, relative: str) -> TimeSeries:
+    path = manifest_path.parent / relative
+    if not path.is_file():
+        raise ParseError(manifest_path, None, f"song '{song_id}': missing series file {relative}")
+    try:
+        return parse_series_file(path)
+    except ParseError as exc:
+        raise ParseError(manifest_path, None, f"song '{song_id}': {exc}") from None
+
+
 def load_dataset(manifest_path) -> list[SongRecord]:
     """Build song records from a manifest, reading the referenced series.
 
-    A missing web-search file (or a null path) leaves that series absent for
-    curation stage 1 to handle.  A missing or malformed short-video file, or
-    a malformed web-search file, is an error naming the offending song.
+    A null web-search path leaves that series absent for curation stage 1 to
+    handle.  A missing or malformed series file, of either platform, is an
+    error naming the offending song.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
-    base = manifest_path.parent
     records: list[SongRecord] = []
     for entry in manifest.songs:
-        sv_path = base / entry.short_video
-        if not sv_path.is_file():
-            raise ParseError(
-                manifest_path, None, f"song '{entry.song_id}': missing series file {entry.short_video}"
-            )
-        try:
-            short_video = parse_series_file(sv_path)
-        except ParseError as exc:
-            raise ParseError(
-                manifest_path, None, f"song '{entry.song_id}': {exc}"
-            ) from None
+        short_video = _read_song_series(manifest_path, entry.song_id, entry.short_video)
         web_search = None
         if entry.web_search is not None:
-            ws_path = base / entry.web_search
-            if ws_path.is_file():
-                try:
-                    web_search = parse_series_file(ws_path)
-                except ParseError as exc:
-                    raise ParseError(
-                        manifest_path, None, f"song '{entry.song_id}': {exc}"
-                    ) from None
+            web_search = _read_song_series(manifest_path, entry.song_id, entry.web_search)
         records.append(
             SongRecord(
                 song_id=entry.song_id,

@@ -18,7 +18,6 @@ __all__ = [
     "ols_fit",
     "regularized_incomplete_beta",
     "f_survival",
-    "finite_difference_jacobian",
     "damped_least_squares",
 ]
 
@@ -178,29 +177,6 @@ def f_survival(f: float, d1: int, d2: int) -> float:
     return regularized_incomplete_beta(x, d2 / 2.0, d1 / 2.0)
 
 
-def finite_difference_jacobian(
-    model: Callable[[np.ndarray], np.ndarray],
-    params: np.ndarray,
-    step_scale: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference Jacobian of ``model`` at ``params``.
-
-    Step per coordinate is step_scale * max(|param|, 1).  Probe points are not
-    clamped, so callers near a domain boundary should supply an analytic
-    Jacobian instead.
-    """
-    p = np.asarray(params, dtype=np.float64)
-    cols = []
-    for i in range(p.size):
-        h = step_scale * max(abs(p[i]), 1.0)
-        up = p.copy()
-        dn = p.copy()
-        up[i] += h
-        dn[i] -= h
-        cols.append((np.asarray(model(up), dtype=np.float64) - np.asarray(model(dn), dtype=np.float64)) / (2.0 * h))
-    return np.column_stack(cols)
-
-
 def _expand_bounds(
     bounds: Sequence[tuple[float, float]] | None, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -218,12 +194,15 @@ def _expand_bounds(
 def damped_least_squares(
     model: Callable[[np.ndarray], np.ndarray],
     init: np.ndarray,
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
+    jacobian: Callable[[np.ndarray], np.ndarray],
     bounds: Sequence[tuple[float, float]] | None = None,
     max_iter: int = 100,
     tol: float = 1e-10,
 ) -> NlsFit:
     """Minimize ||model(params)||^2 by Gauss-Newton steps with adaptive damping.
+
+    ``jacobian(params)`` returns the derivative of ``model`` at ``params``,
+    one row per residual and one column per parameter.
 
     The damping factor multiplies by 10 whenever a step increases the residual
     norm (the step is rejected) and divides by 10 on a decrease.  Steps are
@@ -241,9 +220,6 @@ def damped_least_squares(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    jac = jacobian if jacobian is not None else (
-        lambda p: finite_difference_jacobian(model, p)
-    )
     resid = np.asarray(model(x), dtype=np.float64)
     if not np.all(np.isfinite(resid)):
         raise ValueError("invalid starting point")
@@ -254,7 +230,7 @@ def damped_least_squares(
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        J = np.asarray(jac(x), dtype=np.float64)
+        J = np.asarray(jacobian(x), dtype=np.float64)
         if not np.all(np.isfinite(J)):
             lam = min(lam * 10.0, 1e12)
             continue

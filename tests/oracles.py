@@ -4,12 +4,14 @@ Every routine here reaches its answer by a different route than the package:
 normal equations solved by hand-rolled Gaussian elimination instead of
 orthogonal factorization, closed-form beta polynomials and recurrences
 instead of continued fractions, an arbitrary-precision tail probability, an
-LCS-based edit distance, and a Runge-Kutta integration of the diffusion ODE.
+LCS-based edit distance, a Runge-Kutta integration of the diffusion ODE, and
+central differences instead of the analytic Jacobian.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -217,6 +219,32 @@ def bass_cumulative_rk4(p: float, q: float, t_end: float, steps: int = 20000) ->
         k4 = rate(f + h * k3)
         f += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return f
+
+
+# ---------------------------------------------------------------------------
+# jacobians by central differences instead of the analytic derivative
+
+
+def finite_difference_jacobian(
+    model: Callable[[np.ndarray], np.ndarray],
+    params: np.ndarray,
+    step_scale: float = 1e-6,
+) -> np.ndarray:
+    """Central-difference Jacobian of ``model`` at ``params``.
+
+    Step per coordinate is step_scale * max(|param|, 1).  Probe points are not
+    clamped, so keep ``params`` away from the edges of the model's domain.
+    """
+    p = np.asarray(params, dtype=np.float64)
+    cols = []
+    for i in range(p.size):
+        h = step_scale * max(abs(p[i]), 1.0)
+        up = p.copy()
+        dn = p.copy()
+        up[i] += h
+        dn[i] -= h
+        cols.append((np.asarray(model(up), dtype=np.float64) - np.asarray(model(dn), dtype=np.float64)) / (2.0 * h))
+    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------

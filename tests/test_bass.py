@@ -21,7 +21,6 @@ from resurge.bass import (
     fit_cumulative,
 )
 from resurge.curation import SongRecord
-from resurge.numerics import finite_difference_jacobian
 from resurge.series import TimeSeries
 
 params_strategy = st.builds(
@@ -148,7 +147,7 @@ def test_analytic_jacobian_matches_finite_differences(p, q):
         return (1.0 - decay) / (1.0 + (th[1] / th[0]) * decay)
 
     analytic = bass_residual_jacobian(theta, times)
-    numeric = finite_difference_jacobian(residual, theta)
+    numeric = oracles.finite_difference_jacobian(residual, theta)
     np.testing.assert_allclose(
         analytic, numeric, rtol=1e-5, atol=1e-8 * np.abs(analytic).max()
     )

@@ -71,9 +71,10 @@ def test_missing_manifest_names_the_flag(capsys, tmp_path):
     assert "--manifest is required" in capsys.readouterr().err
 
 
-def test_missing_catalog_names_the_flag(capsys, tmp_path, demo_dir):
+@pytest.mark.parametrize("command", ["curate", "granger", "bass", "pipeline"])
+def test_missing_catalog_names_the_flag(capsys, tmp_path, demo_dir, command):
     code = main([
-        "granger", "--manifest", str(demo_dir / "manifest.json"),
+        command, "--manifest", str(demo_dir / "manifest.json"),
         "--out-dir", str(tmp_path),
     ])
     assert code == 1
@@ -99,6 +100,25 @@ def test_unreadable_manifest_exits_one(capsys, tmp_path):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["curate", "granger", "bass", "pipeline", "ccdf"])
+def test_input_error_exits_one_before_creating_out_dir(capsys, tmp_path, demo_dir, command):
+    (tmp_path / "bad.csv").write_text("date,value\n2021-01-01,oops\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "format_version": 1,
+        "songs": [{"song_id": "bad", "display_title": "Bad by X",
+                   "short_video": "bad.csv", "web_search": None}],
+    }))
+    out_dir = tmp_path / "out"
+    code = main([
+        command, "--manifest", str(manifest), "--catalog", str(demo_dir / "catalog.csv"),
+        "--out-dir", str(out_dir),
+    ])
+    assert code == 1
+    assert "song 'bad'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # --- commands on the bundled fixture --------------------------------------------------
@@ -169,6 +189,19 @@ def test_bass_on_demo(capsys, tmp_path, demo_dir):
         assert 0.0 <= row["fitted_cum"] <= 1.0
 
 
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        ("curate", {"curate_report.jsonl", "curate_manifest.json", "curate_series"}),
+        ("granger", {"granger_report.jsonl", "granger_histogram.jsonl"}),
+        ("bass", {"bass_report.jsonl", "bass_scatter.jsonl", "bass_overlay.jsonl"}),
+    ],
+)
+def test_stage_commands_write_only_their_own_files(tmp_path, demo_dir, command, names):
+    assert main([command] + demo_args(demo_dir, tmp_path)) == 0
+    assert {p.name for p in tmp_path.iterdir()} == names
+
+
 def test_ccdf_totals_fixture(capsys, tmp_path):
     series_dir = tmp_path / "series"
     series_dir.mkdir()
@@ -217,12 +250,15 @@ def test_ccdf_single_song(tmp_path):
     assert points == [{"popularity": 9.0, "fraction_above": 0.0}]
 
 
-def test_pipeline_equals_staged_runs(tmp_path, demo_dir):
+def test_pipeline_equals_staged_runs(capsys, tmp_path, demo_dir):
     staged = tmp_path / "staged"
     piped = tmp_path / "piped"
+    staged_stdout = ""
     for command in ("curate", "granger", "bass"):
         assert main([command] + demo_args(demo_dir, staged)) == 0
+        staged_stdout += capsys.readouterr().out
     assert main(["pipeline"] + demo_args(demo_dir, piped)) == 0
+    assert capsys.readouterr().out == staged_stdout
     assert compare_trees(staged, piped) == []
 
 

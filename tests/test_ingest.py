@@ -224,14 +224,15 @@ def test_load_dataset_golden(tmp_path):
     assert not records[1].short_video_series.is_daily
 
 
-def test_load_dataset_missing_ws_file_is_absent_series(tmp_path):
+def test_load_dataset_missing_ws_file_is_an_error(tmp_path):
     (tmp_path / "series").mkdir()
     write_series_csv(tmp_path / "series/a_sv.csv", [("2021-01-01", 1)])
     songs = [{"song_id": "a", "display_title": "A by X",
               "short_video": "series/a_sv.csv", "web_search": "series/gone.csv"}]
     manifest_path = tmp_path / "manifest.json"
     manifest_path.write_text(json.dumps(manifest_payload(songs)))
-    assert load_dataset(manifest_path)[0].web_search_series is None
+    with pytest.raises(ParseError, match="song 'a': missing series file series/gone.csv"):
+        load_dataset(manifest_path)
 
 
 def test_load_dataset_errors_name_the_song(tmp_path):
