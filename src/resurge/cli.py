@@ -187,8 +187,8 @@ def _granger_rows(batch: granger.GrangerBatch) -> list[dict]:
                     "best_p": res.best_p,
                     "causal": res.causal,
                     "alpha": res.alpha,
-                    "statistic": res.statistic,
-                    "intercept": res.intercept,
+                    "statistic": "ssr_f",
+                    "intercept": True,
                     "error": None,
                 }
             )
@@ -198,7 +198,7 @@ def _granger_rows(batch: granger.GrangerBatch) -> list[dict]:
 def _histogram_rows(batch: granger.GrangerBatch) -> list[dict]:
     best = [it.result.best_p for it in batch.items if it.result is not None]
     edges = np.linspace(0.0, 1.0, 11)
-    counts, _ = np.histogram(best, bins=edges) if best else (np.zeros(10, dtype=int), edges)
+    counts, _ = np.histogram(best, bins=edges)
     return [
         {"bin_lo": float(edges[i]), "bin_hi": float(edges[i + 1]), "count": int(counts[i])}
         for i in range(10)

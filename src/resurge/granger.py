@@ -1,10 +1,13 @@
 """Lag-based predictive-causality screening between two aligned daily series.
 
 For each lag L the restricted autoregression predicts the target from its own
-L past values; the unrestricted model adds L past values of the source.  The
-improvement in the residual sum of squares gives an F statistic with
-(L, n_eff - 2L - 1) degrees of freedom, n_eff being the usable rows after
-dropping the first L.  A song's verdict comes from the smallest p-value over
+L past values; the unrestricted model adds L past values of the source.  Both
+share one column-equilibrated QR factorization of the unrestricted design, the
+restricted one being its leading columns: the squared trailing L entries of
+Q^T y are the improvement in the residual sum of squares.  That improvement
+gives an F statistic with (L, n_eff - 2L - 1) degrees of freedom, n_eff being
+the usable rows after dropping the first L; it does not depend on the units of
+either series.  A song's verdict comes from the smallest p-value over
 the swept lags compared against alpha.
 """
 
@@ -33,8 +36,6 @@ DEFAULT_ALPHA = 0.1
 
 # verdicts need the nested F-test to have at least this many aligned points
 MIN_SERIES_LENGTH = 20
-
-STATISTIC_NAME = "ssr_f"
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,6 @@ class GrangerResult:
     best_p: float
     causal: bool
     alpha: float
-    statistic: str = STATISTIC_NAME
-    intercept: bool = True
     bonferroni: bool = False
 
 
@@ -109,22 +108,21 @@ class GrangerBatch:
         )
 
 
-def _require_aligned(target: TimeSeries, source: TimeSeries | None) -> None:
-    if source is not None and not np.array_equal(target.days, source.days):
+def _require_aligned(target: TimeSeries, source: TimeSeries) -> None:
+    if not np.array_equal(target.days, source.days):
         raise ValueError("series are not aligned on the same dates")
 
 
 def build_lagged_design(
     target: TimeSeries,
-    source: TimeSeries | None,
+    source: TimeSeries,
     lag: int,
-    intercept: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix and response for the lag-``lag`` autoregression.
 
-    Columns: optional intercept, then target lags 1..lag, then source lags
-    1..lag when a source is given.  Rows are the n - lag observations that
-    have a full lag history.
+    Columns: intercept, then target lags 1..lag, then source lags 1..lag; the
+    leading 1 + lag columns are the restricted model.  Rows are the n - lag
+    observations that have a full lag history.
     """
     if lag < 1:
         raise ValueError("lag must be at least 1")
@@ -134,15 +132,10 @@ def build_lagged_design(
         raise ValueError(f"series too short for lag {lag}")
     tv = target.values
     y = tv[lag:]
-    cols = []
-    if intercept:
-        cols.append(np.ones(n - lag))
-    for ell in range(1, lag + 1):
-        cols.append(tv[lag - ell : n - ell])
-    if source is not None:
-        sv = source.values
+    cols = [np.ones(n - lag)]
+    for values in (tv, source.values):
         for ell in range(1, lag + 1):
-            cols.append(sv[lag - ell : n - ell])
+            cols.append(values[lag - ell : n - ell])
     return np.column_stack(cols), y
 
 
@@ -177,15 +170,13 @@ def granger_test(
         df_den = n_eff - (2 * lag + 1)
         if df_den < 1:
             raise ValueError(f"series too short for lag {lag}")
-        design_r, y = build_lagged_design(target, None, lag)
-        design_u, _ = build_lagged_design(target, source, lag)
-        fit_r = ols_fit(design_r, y)
-        fit_u = ols_fit(design_u, y)
-        if fit_u.ssr <= 0.0:
-            f_stat = np.inf if fit_r.ssr > 0.0 else 0.0
+        design, y = build_lagged_design(target, source, lag)
+        fit = ols_fit(design, y)
+        gain = float(fit.effects[1 + lag :] @ fit.effects[1 + lag :])
+        if fit.ssr <= 0.0:
+            f_stat = np.inf if gain > 0.0 else 0.0
         else:
-            f_stat = ((fit_r.ssr - fit_u.ssr) / lag) / (fit_u.ssr / df_den)
-            f_stat = max(f_stat, 0.0)  # numerical noise can push it negative
+            f_stat = (gain / lag) / (fit.ssr / df_den)
         p_value = f_survival(f_stat, lag, df_den)
         per_lag.append(
             LagResult(
@@ -194,8 +185,8 @@ def granger_test(
                 df_num=lag,
                 df_den=df_den,
                 p_value=p_value,
-                ssr_restricted=fit_r.ssr,
-                ssr_unrestricted=fit_u.ssr,
+                ssr_restricted=fit.ssr + gain,
+                ssr_unrestricted=fit.ssr,
             )
         )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,9 +107,9 @@ def parse_series_file(path) -> TimeSeries:
             raise ParseError(path, lineno, f"expected 2 fields, got {len(parts)}")
         day = _parse_date(parts[0].strip(), path, lineno)
         value_text = parts[1].strip()
-        if not _VALUE_RE.match(value_text):
+        value = float(value_text) if _VALUE_RE.match(value_text) else math.nan
+        if not math.isfinite(value):
             raise ParseError(path, lineno, f"invalid value {value_text!r}")
-        value = float(value_text)
         if day in first_day_line:
             raise ParseError(
                 path,

@@ -21,7 +21,8 @@ __all__ = [
     "damped_least_squares",
 ]
 
-# rank tolerance: smallest diagonal of the triangular factor relative to largest
+# rank tolerance on the R diagonal of the column-equilibrated design, where
+# |R_jj| <= 1 is the sine of the angle from column j to the columns before it
 _RANK_RTOL = 1e-10
 
 # continued-fraction evaluation limits
@@ -32,17 +33,18 @@ _CF_TINY = 1e-300
 
 @dataclass(frozen=True)
 class OlsSolution:
-    """Least-squares solution with its sum of squared residuals."""
+    """Least-squares solution, its sum of squared residuals, and ``effects``:
+    Q^T y for the thin factorization design = Q R, as in R's ``lm()$effects``."""
 
     coefficients: np.ndarray
     ssr: float
-    n_obs: int
-    n_params: int
+    effects: np.ndarray
 
     def __post_init__(self) -> None:
-        coef = np.array(self.coefficients, dtype=np.float64)
-        coef.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
+        for name in ("coefficients", "effects"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,9 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsSolution:
     """Solve min ||design @ beta - response||^2 by orthogonal factorization.
 
     The design is factored rather than squared into normal equations, so the
-    conditioning of the problem is not doubled.  Raises ValueError on a
-    rank-deficient design ("singular design matrix").
+    conditioning of the problem is not doubled.  Columns are scaled to unit
+    norm first, so the rank test does not depend on their units.  Raises
+    ValueError on a rank-deficient design ("singular design matrix").
     """
     X = np.asarray(design, dtype=np.float64)
     y = np.asarray(response, dtype=np.float64)
@@ -79,13 +82,16 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsSolution:
     if k < 1 or n < k:
         raise ValueError("design needs at least as many rows as columns")
 
-    q, r = np.linalg.qr(X)
-    diag = np.abs(np.diag(r))
-    if diag.max() == 0.0 or diag.min() < _RANK_RTOL * diag.max():
+    norms = np.linalg.norm(X, axis=0)
+    if not np.all(norms > 0.0):
         raise ValueError("singular design matrix")
-    coef = np.linalg.solve(r, q.T @ y)
+    q, r = np.linalg.qr(X / norms)
+    if np.abs(np.diag(r)).min() < _RANK_RTOL:
+        raise ValueError("singular design matrix")
+    effects = q.T @ y
+    coef = np.linalg.solve(r, effects) / norms
     resid = y - X @ coef
-    return OlsSolution(coefficients=coef, ssr=float(resid @ resid), n_obs=n, n_params=k)
+    return OlsSolution(coefficients=coef, ssr=float(resid @ resid), effects=effects)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:

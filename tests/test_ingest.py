@@ -65,6 +65,10 @@ def test_parse_error_carries_line_numbers(tmp_path):
     with pytest.raises(ParseError, match="invalid value"):
         parse_series_file(path)
 
+    path.write_text("date,value\n2021-01-01,1\n2021-01-02,1e400\n")
+    with pytest.raises(ParseError, match=r":3: invalid value '1e400'"):
+        parse_series_file(path)
+
     path.write_text("date,value\n2021-01-01,1,extra\n")
     with pytest.raises(ParseError, match="expected 2 fields, got 3"):
         parse_series_file(path)

@@ -28,7 +28,6 @@ def test_ols_constant_column_exact():
     sol = ols_fit(design, np.full(7, 3.25))
     assert sol.coefficients[0] == pytest.approx(3.25, abs=1e-14)
     assert sol.ssr == pytest.approx(0.0, abs=1e-24)
-    assert sol.n_obs == 7 and sol.n_params == 1
 
 
 def test_ols_noiseless_line():
@@ -50,6 +49,19 @@ def test_ols_matches_normal_equations_oracle():
     coef, ssr = oracles.normal_equations_ols(design, response)
     np.testing.assert_allclose(sol.coefficients, coef, rtol=1e-8, atol=1e-10)
     assert sol.ssr == pytest.approx(ssr, rel=1e-8)
+
+
+def test_ols_column_scaling_invariance():
+    """Scaling one column by 1e12 leaves the ssr and rescales its coefficient."""
+    rng = np.random.default_rng(3)
+    design = np.column_stack([np.ones(40), rng.normal(20.0, 2.0, (40, 2))])
+    response = rng.normal(size=40)
+    scaled = design.copy()
+    scaled[:, 2] *= 1e12
+    base = ols_fit(design, response)
+    sol = ols_fit(scaled, response)
+    assert sol.ssr == pytest.approx(base.ssr, rel=1e-9)
+    assert sol.coefficients[2] == pytest.approx(base.coefficients[2] * 1e-12, rel=1e-9)
 
 
 def test_ols_residual_orthogonal_to_design():
@@ -85,14 +97,17 @@ def test_ols_shape_validation():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_ols_nesting_monotonicity(seed, extra):
-    """Adding columns never increases the ssr."""
+    """Adding columns never increases the ssr, and lowers it by exactly the
+    squared trailing effects of the larger fit."""
     rng = np.random.default_rng(seed)
     n = 25
     design = rng.normal(size=(n, 2 + extra))
     response = rng.normal(size=n)
     ssr_small = ols_fit(design[:, :2], response).ssr
-    ssr_large = ols_fit(design, response).ssr
-    assert ssr_large <= ssr_small + 1e-9 * max(ssr_small, 1.0)
+    large = ols_fit(design, response)
+    assert large.ssr <= ssr_small + 1e-9 * max(ssr_small, 1.0)
+    gain = large.effects[2:] @ large.effects[2:]
+    assert large.ssr + gain == pytest.approx(ssr_small, rel=1e-9)
 
 
 # --- regularized_incomplete_beta ---------------------------------------------
