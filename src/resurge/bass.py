@@ -83,7 +83,6 @@ class BassFit:
     rmse: float
     converged: bool
     n_points: int
-    platform: str | None = None
 
 
 @dataclass(frozen=True)
@@ -114,12 +113,14 @@ class BassBatch:
         )
 
 
+def _cumulative_for(p: float, q: float, times: np.ndarray) -> np.ndarray:
+    decay = np.exp(-(p + q) * times)
+    return (1.0 - decay) / (1.0 + (q / p) * decay)
+
+
 def bass_cumulative(params: BassParams, t):
     """Adoption fraction F(t); accepts a scalar or an array of times."""
-    times = np.asarray(t, dtype=np.float64)
-    decay = np.exp(-(params.p + params.q) * times)
-    ratio = params.q / params.p
-    out = (1.0 - decay) / (1.0 + ratio * decay)
+    out = _cumulative_for(params.p, params.q, np.asarray(t, dtype=np.float64))
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -140,11 +141,6 @@ def bass_instantaneous(params: BassParams, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def _cumulative_for(p: float, q: float, times: np.ndarray) -> np.ndarray:
-    decay = np.exp(-(p + q) * times)
-    return (1.0 - decay) / (1.0 + (q / p) * decay)
-
-
 def bass_residual_jacobian(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of the cumulative curve w.r.t. (p, q).
 
@@ -163,11 +159,7 @@ def bass_residual_jacobian(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.column_stack([d_p, d_q])
 
 
-def fit_cumulative(
-    times: np.ndarray,
-    observed: np.ndarray,
-    platform: str | None = None,
-) -> BassFit:
+def fit_cumulative(times: np.ndarray, observed: np.ndarray) -> BassFit:
     """Least-squares (p, q) for observed cumulative fractions at given times.
 
     All grid starts are scored by their initial residual norm; the best few
@@ -216,11 +208,10 @@ def fit_cumulative(
         rmse=best.residual_norm / math.sqrt(times.size),
         converged=best.converged,
         n_points=int(times.size),
-        platform=platform,
     )
 
 
-def fit_bass(series: TimeSeries, platform: str | None = None) -> BassFit:
+def fit_bass(series: TimeSeries) -> BassFit:
     """Fit a diffusion curve to one peak-focused popularity window."""
     if len(series) < MIN_FIT_POINTS:
         raise ValueError(
@@ -228,7 +219,7 @@ def fit_bass(series: TimeSeries, platform: str | None = None) -> BassFit:
         )
     fractions = cumulative_normalized(series)  # rejects an all-zero window
     times = (series.days - series.days[0]).astype(np.float64)
-    return fit_cumulative(times, fractions.values, platform=platform)
+    return fit_cumulative(times, fractions.values)
 
 
 def batch_bass(records: Iterable) -> BassBatch:
@@ -236,10 +227,10 @@ def batch_bass(records: Iterable) -> BassBatch:
     items = []
     for record in records:
         try:
-            sv = fit_bass(record.short_video_series, platform="short_video")
+            sv = fit_bass(record.short_video_series)
             if record.web_search_series is None:
                 raise ValueError("record has no web-search series")
-            ws = fit_bass(record.web_search_series, platform="web_search")
+            ws = fit_bass(record.web_search_series)
             items.append(
                 BassItem(song_id=record.song_id, short_video=sv, web_search=ws)
             )

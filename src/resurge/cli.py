@@ -61,7 +61,7 @@ class RunConfig:
             raise ValueError("--lag-min/--lag-max must satisfy 1 <= min <= max")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("--alpha must lie in (0, 1)")
-        if self.bass_rmse_max <= 0.0:
+        if not self.bass_rmse_max > 0.0:
             raise ValueError("--bass-rmse-max must be positive")
         if self.format not in _FORMATS:
             raise ValueError("--format must be 'jsonl' or 'csv'")
@@ -211,11 +211,11 @@ def _bass_rows(batch: bass_mod.BassBatch, config: RunConfig) -> list[dict]:
         if item.error is not None:
             rows.append({"song_id": item.song_id, "error": item.error})
             continue
-        for fit in (item.short_video, item.web_search):
+        for platform, fit in (("short_video", item.short_video), ("web_search", item.web_search)):
             rows.append(
                 {
                     "song_id": item.song_id,
-                    "platform": fit.platform,
+                    "platform": platform,
                     "p": fit.params.p,
                     "q": fit.params.q,
                     "peak_time": fit.params.peak_time,
@@ -247,16 +247,15 @@ def _scatter_rows(batch: bass_mod.BassBatch) -> list[dict]:
     return rows
 
 
-def _overlay_rows(batch: bass_mod.BassBatch, kept: list[curation.SongRecord]) -> list[dict]:
-    by_id = {record.song_id: record for record in kept}
+def _overlay_rows(batch: bass_mod.BassBatch, flagged: list[curation.SongRecord]) -> list[dict]:
     rows = []
-    for item in batch.items:
+    # batch_bass keeps input order, so item i is the fit of flagged[i]
+    for item, record in zip(batch.items, flagged):
         if item.error is not None:
             continue
-        record = by_id[item.song_id]
-        for fit, ts in (
-            (item.short_video, record.short_video_series),
-            (item.web_search, record.web_search_series),
+        for platform, fit, ts in (
+            ("short_video", item.short_video, record.short_video_series),
+            ("web_search", item.web_search, record.web_search_series),
         ):
             observed = series.cumulative_normalized(ts)
             times = (ts.days - ts.days[0]).astype(np.float64)
@@ -265,7 +264,7 @@ def _overlay_rows(batch: bass_mod.BassBatch, kept: list[curation.SongRecord]) ->
                 rows.append(
                     {
                         "song_id": item.song_id,
-                        "platform": fit.platform,
+                        "platform": platform,
                         "day": int(offset),
                         "observed_cum": float(obs),
                         "fitted_cum": float(model),
@@ -420,7 +419,8 @@ def main(argv: list[str] | None = None) -> int:
     stages = _COMMANDS[args.command]
     through = stages[-1]
     # ParseError is a ValueError: bad flag values and unreadable or malformed
-    # inputs all end here, before anything is written
+    # inputs all end here before anything is written, and so does a write
+    # that fails (say, --out-dir naming an existing file)
     try:
         config = _config_from_args(args)
         if config.manifest is None:
@@ -428,12 +428,12 @@ def main(argv: list[str] | None = None) -> int:
         if through != "ccdf" and config.catalog is None:
             raise ValueError("--catalog is required")
         result = _run(config, through)
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+        for stage in stages:
+            _WRITERS[stage](config, result)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    for stage in stages:
-        _WRITERS[stage](config, result)
     return 0
 
 

@@ -65,10 +65,10 @@ class CatalogEntry:
     release_kind: ReleaseKind
 
     def __post_init__(self) -> None:
+        if self.release_kind not in ("single", "album", "other"):
+            raise ValueError(f"invalid release_kind {self.release_kind!r}")
         if not self.title.strip() or not self.artist.strip():
             raise ValueError("catalog entries need a non-empty title and artist")
-        if self.release_kind not in ("single", "album", "other"):
-            raise ValueError("release_kind must be 'single', 'album' or 'other'")
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,6 @@ class SongOutcome:
 class CurationReport:
     outcomes: tuple[SongOutcome, ...]
     funnel: tuple[tuple[str, int], ...]
-
-    def count_after(self, stage_name: str) -> int:
-        for name, count in self.funnel:
-            if name == stage_name:
-                return count
-        raise KeyError(stage_name)
 
 
 def _normalize(text: str) -> str:

@@ -75,7 +75,6 @@ class GrangerResult:
     best_p: float
     causal: bool
     alpha: float
-    bonferroni: bool = False
 
 
 @dataclass(frozen=True)
@@ -144,13 +143,11 @@ def granger_test(
     target: TimeSeries,
     lags: LagSpec = LagSpec(),
     alpha: float = DEFAULT_ALPHA,
-    bonferroni: bool = False,
 ) -> GrangerResult:
     """Does the source series help predict the target series?
 
     Runs the nested F-test at every lag in ``lags`` and aggregates by the
-    minimum p-value.  With ``bonferroni`` the verdict multiplies that minimum
-    by the number of swept lags first (sensitivity analysis; off by default).
+    minimum p-value; the pair is causal when that minimum is below ``alpha``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -191,21 +188,13 @@ def granger_test(
         )
 
     best_p = min(r.p_value for r in per_lag)
-    verdict_p = min(1.0, best_p * len(per_lag)) if bonferroni else best_p
-    return GrangerResult(
-        per_lag=tuple(per_lag),
-        best_p=best_p,
-        causal=verdict_p < alpha,
-        alpha=alpha,
-        bonferroni=bonferroni,
-    )
+    return GrangerResult(per_lag=tuple(per_lag), best_p=best_p, causal=best_p < alpha, alpha=alpha)
 
 
 def batch_granger(
     records,
     lags: LagSpec = LagSpec(),
     alpha: float = DEFAULT_ALPHA,
-    bonferroni: bool = False,
 ) -> GrangerBatch:
     """Run :func:`granger_test` over curated records, capturing per-song errors.
 
@@ -223,7 +212,6 @@ def batch_granger(
                 target=record.web_search_series,
                 lags=lags,
                 alpha=alpha,
-                bonferroni=bonferroni,
             )
             items.append(GrangerItem(song_id=record.song_id, result=result))
         except (ValueError, ArithmeticError) as exc:

@@ -155,8 +155,6 @@ def parse_catalog_file(path) -> list[CatalogEntry]:
             raise ParseError(path, lineno, f"expected 4 fields, got {len(parts)}")
         title, artist, date_text, kind = parts
         day = _parse_date(date_text, path, lineno)
-        if kind not in ("single", "album", "other"):
-            raise ParseError(path, lineno, f"invalid release_kind {kind!r}")
         try:
             entries.append(
                 CatalogEntry(
@@ -187,7 +185,8 @@ def load_manifest(path) -> DatasetManifest:
     if not isinstance(payload, dict):
         raise ParseError(path, None, "manifest must be a JSON object")
     version = payload.get("format_version")
-    if version != MANIFEST_FORMAT_VERSION:
+    # bool and float compare equal to 1 too, but only the int is the version
+    if type(version) is not int or version != MANIFEST_FORMAT_VERSION:
         raise ParseError(
             path, None, f"unsupported format_version {version!r}, expected {MANIFEST_FORMAT_VERSION}"
         )

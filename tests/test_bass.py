@@ -239,8 +239,6 @@ def test_batch_identical_platforms_agree():
     batch = batch_bass([make_record("song", series, series)])
     item = batch.items[0]
     assert item.error is None
-    assert item.short_video.platform == "short_video"
-    assert item.web_search.platform == "web_search"
     assert item.short_video.params.p == pytest.approx(item.web_search.params.p, abs=1e-6)
     assert item.short_video.params.q == pytest.approx(item.web_search.params.q, abs=1e-6)
     assert batch.n_fits == 2

@@ -2,11 +2,18 @@
 
 import filecmp
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from resurge.cli import RunConfig, main
 from resurge.ingest import read_report
+
+# outputs of `python -m resurge {pipeline,ccdf} --manifest data/demo/manifest.json
+# --catalog data/demo/catalog.csv --allowlist data/demo/allowlist.txt
+# --peak-basis peak --out-dir tests/golden/demo/{pipeline,ccdf}`
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "demo"
 
 
 def demo_args(demo_dir, out_dir, fmt="jsonl"):
@@ -56,6 +63,7 @@ def test_config_defaults_follow_the_analysis_constants():
         {"alpha": 1.0},
         {"bass_rmse_max": 0.0},
         {"format": "xml"},
+        {"bass_rmse_max": float("nan")},
     ],
 )
 def test_config_validation(kwargs):
@@ -119,6 +127,14 @@ def test_input_error_exits_one_before_creating_out_dir(capsys, tmp_path, demo_di
     assert code == 1
     assert "song 'bad'" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_out_dir_naming_a_file_exits_one(capsys, tmp_path, demo_dir):
+    out_file = tmp_path / "taken"
+    out_file.write_text("keep me\n")
+    assert main(["pipeline"] + demo_args(demo_dir, out_file)) == 1
+    assert "error:" in capsys.readouterr().err
+    assert out_file.read_text() == "keep me\n"
 
 
 # --- commands on the bundled fixture --------------------------------------------------
@@ -260,6 +276,27 @@ def test_pipeline_equals_staged_runs(capsys, tmp_path, demo_dir):
     assert main(["pipeline"] + demo_args(demo_dir, piped)) == 0
     assert capsys.readouterr().out == staged_stdout
     assert compare_trees(staged, piped) == []
+
+
+def same_jsonl_value(actual, expected):
+    if type(expected) is float:
+        return type(actual) is float and math.isclose(actual, expected, rel_tol=1e-9, abs_tol=0.0)
+    return type(actual) is type(expected) and actual == expected
+
+
+def test_demo_outputs_match_golden(tmp_path, demo_dir):
+    for command in ("pipeline", "ccdf"):
+        assert main([command] + demo_args(demo_dir, tmp_path / command)) == 0
+    # .csv and .json files must match byte for byte; .jsonl floats to 1e-9 relative
+    for name in compare_trees(tmp_path, GOLDEN_DIR):
+        assert name.suffix == ".jsonl", f"{name} differs from its golden copy"
+        actual = (tmp_path / name).read_text().splitlines()
+        expected = (GOLDEN_DIR / name).read_text().splitlines()
+        assert len(actual) == len(expected), name
+        for got_line, want_line in zip(actual, expected):
+            got, want = json.loads(got_line), json.loads(want_line)
+            assert list(got) == list(want), name
+            assert all(same_jsonl_value(got[k], want[k]) for k in want), (name, got, want)
 
 
 def test_pipeline_csv_variant(tmp_path, demo_dir):

@@ -238,9 +238,6 @@ def test_funnel_counts_and_kept_set():
         ("peak_window", 3),
         ("min_points", 2),
     )
-    assert report.count_after("min_points") == 2
-    with pytest.raises(KeyError):
-        report.count_after("no_such_stage")
 
 
 def test_drop_stages_and_reasons():

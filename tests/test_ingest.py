@@ -187,9 +187,10 @@ def test_manifest_validation(tmp_path):
     with pytest.raises(ParseError, match="invalid JSON"):
         load_manifest(path)
 
-    path.write_text(json.dumps({"format_version": 99, "songs": []}))
-    with pytest.raises(ParseError, match="unsupported format_version"):
-        load_manifest(path)
+    for version in (99, True, 1.0):
+        path.write_text(json.dumps({"format_version": version, "songs": []}))
+        with pytest.raises(ParseError, match="unsupported format_version"):
+            load_manifest(path)
 
     path.write_text(json.dumps(manifest_payload([{"song_id": "x"}])))
     with pytest.raises(ParseError, match="display_title"):
