@@ -1,35 +1,1 @@
 """Song-revival analytics for paired short-video / web-search popularity series."""
-
-from .bass import (
-    BassBatch,
-    BassFit,
-    BassParams,
-    bass_cumulative,
-    bass_instantaneous,
-    bass_remaining,
-    batch_bass,
-    fit_bass,
-)
-from .curation import (
-    CatalogEntry,
-    CurationReport,
-    SongRecord,
-    curate,
-    match_catalog,
-    partial_ratio,
-)
-from .granger import GrangerBatch, GrangerResult, LagSpec, batch_granger, granger_test
-from .ingest import ParseError, load_dataset, parse_series_file, write_series_file
-from .numerics import damped_least_squares, f_survival, ols_fit, regularized_incomplete_beta
-from .series import (
-    CcdfPoint,
-    TimeSeries,
-    Window,
-    align_pair,
-    ccdf,
-    cumulative_normalized,
-    interpolate_daily,
-    peak_window,
-)
-
-__version__ = "0.1.0"

@@ -10,8 +10,8 @@ series, and survives six stages:
   5. interpolation, peak windowing and alignment succeed
   6. the processed window has enough points
 
-Allowlisted songs skip stages 2-4: manual evidence beats the automatic
-filters, and such records may end up without any catalog linkage.
+Allowlisted songs skip stages 2-4, catalog matching included: manual
+evidence beats the automatic filters.
 """
 
 from __future__ import annotations
@@ -73,18 +73,12 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class SongRecord:
-    """One song's identity and its per-platform series.
-
-    ``manual`` marks records kept by the allowlist; those may carry no
-    catalog entry.
-    """
+    """One song's identity and its per-platform series."""
 
     song_id: str
     display_title: str
     short_video_series: TimeSeries
     web_search_series: TimeSeries | None = None
-    catalog: CatalogEntry | None = None
-    manual: bool = False
 
 
 @dataclass(frozen=True)
@@ -200,8 +194,8 @@ def curate(
 ) -> tuple[list[SongRecord], CurationReport]:
     """Run the six-stage funnel and return kept records plus a full report.
 
-    Kept records carry the processed (windowed, aligned) series, the matched
-    catalog entry when there is one, and manual=True when allowlisted.
+    Kept records carry the processed (windowed, aligned) series.  Allowlisted
+    records are never matched against the catalog.
     Raises on duplicate song identifiers; everything else is recorded as a
     per-song drop with the stage it failed at.
     """
@@ -220,14 +214,12 @@ def curate(
     survivors[0] = len(records)
 
     for record in records:
-        is_manual = record.song_id in allowed
-
         if record.web_search_series is None:
             outcomes.append(SongOutcome(record.song_id, 1, False, "no web-search series"))
             continue
 
-        entry = match_catalog(record, catalog, match_threshold)
-        if not is_manual:
+        if record.song_id not in allowed:
+            entry = match_catalog(record, catalog, match_threshold)
             if entry is None:
                 outcomes.append(SongOutcome(record.song_id, 2, False, "no catalog match"))
                 continue
@@ -265,13 +257,7 @@ def curate(
             continue
 
         kept.append(
-            replace(
-                record,
-                short_video_series=short_video,
-                web_search_series=web_search,
-                catalog=entry,
-                manual=is_manual,
-            )
+            replace(record, short_video_series=short_video, web_search_series=web_search)
         )
         outcomes.append(SongOutcome(record.song_id, len(STAGE_NAMES), True, "kept"))
 

@@ -34,7 +34,6 @@ __all__ = [
     "write_manifest",
     "load_dataset",
     "write_report",
-    "read_report",
 ]
 
 MANIFEST_FORMAT_VERSION = 1
@@ -79,12 +78,12 @@ def _parse_date(text: str, path, lineno: int) -> int:
 
 
 def _content_lines(path) -> Iterable[tuple[int, str]]:
+    """Line numbers and stripped text of the non-blank lines."""
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+            if line:
+                yield lineno, line
 
 
 def parse_series_file(path) -> TimeSeries:
@@ -97,6 +96,8 @@ def parse_series_file(path) -> TimeSeries:
     first_day_line: dict[int, int] = {}
     saw_header = False
     for lineno, line in _content_lines(path):
+        if line.startswith("#"):
+            continue
         if not saw_header:
             if [part.strip() for part in line.split(",")] != _SERIES_HEADER:
                 raise ParseError(path, lineno, "expected 'date,value' header")
@@ -135,7 +136,11 @@ def write_series_file(series: TimeSeries, path) -> None:
 
 
 def parse_catalog_file(path) -> list[CatalogEntry]:
-    """Read the release catalog CSV (titles and artists may contain commas)."""
+    """Read the release catalog CSV (titles and artists may contain commas).
+
+    Blank lines are skipped.  There is no comment syntax: a title may start
+    with ``#``.
+    """
     entries: list[CatalogEntry] = []
     saw_header = False
     for lineno, line in _content_lines(path):
@@ -173,7 +178,7 @@ def parse_catalog_file(path) -> list[CatalogEntry]:
 
 def parse_allowlist(path) -> list[str]:
     """One song id per line; blanks and ``#`` comments are skipped."""
-    return [line for _, line in _content_lines(path)]
+    return [line for _, line in _content_lines(path) if not line.startswith("#")]
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -205,6 +210,9 @@ def load_manifest(path) -> DatasetManifest:
         web_search = item.get("web_search")
         if not isinstance(song_id, str) or not song_id.strip():
             raise ParseError(path, None, f"{label} needs a non-empty song_id")
+        # song ids name output files; a separator would escape curate_series/
+        if "/" in song_id or "\\" in song_id:
+            raise ParseError(path, None, f"{label} song_id {song_id!r} contains a path separator")
         if not isinstance(display_title, str) or not display_title.strip():
             raise ParseError(path, None, f"{label} ({song_id}) needs a non-empty display_title")
         if not isinstance(short_video, str) or not short_video:
@@ -326,18 +334,3 @@ def write_report(rows: Sequence[dict], fieldnames: Sequence[str], path, format: 
             writer.writerow(fieldnames)
             for row in rows:
                 writer.writerow([_csv_value(row.get(name)) for name in fieldnames])
-
-
-def read_report(path, format: str) -> list[dict]:
-    """Read a report back; JSONL restores types, CSV yields strings."""
-    if format not in ("jsonl", "csv"):
-        raise ValueError("format must be 'jsonl' or 'csv'")
-    path = Path(path)
-    if format == "jsonl":
-        return [
-            json.loads(line)
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line
-        ]
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]

@@ -5,12 +5,17 @@ normal equations solved by hand-rolled Gaussian elimination instead of
 orthogonal factorization, closed-form beta polynomials and recurrences
 instead of continued fractions, an arbitrary-precision tail probability, an
 LCS-based edit distance, a Runge-Kutta integration of the diffusion ODE, and
-central differences instead of the analytic Jacobian.
+central differences instead of the analytic Jacobian.  It also holds
+``read_report``, the reader the tests use to load the package's JSONL and CSV
+reports back; the package itself only writes them.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+from pathlib import Path
 from typing import Callable
 
 import mpmath as mp
@@ -245,6 +250,25 @@ def finite_difference_jacobian(
         dn[i] -= h
         cols.append((np.asarray(model(up), dtype=np.float64) - np.asarray(model(dn), dtype=np.float64)) / (2.0 * h))
     return np.column_stack(cols)
+
+
+# ---------------------------------------------------------------------------
+# reading reports back
+
+
+def read_report(path, format: str) -> list[dict]:
+    """Read a report back; JSONL restores types, CSV yields strings."""
+    if format not in ("jsonl", "csv"):
+        raise ValueError("format must be 'jsonl' or 'csv'")
+    path = Path(path)
+    if format == "jsonl":
+        return [
+            json.loads(line)
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line
+        ]
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [dict(row) for row in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from resurge.bass import (
 from resurge.cli import main
 from resurge.curation import curate, partial_ratio
 from resurge.granger import LagSpec, granger_test
-from resurge.ingest import load_dataset, parse_allowlist, parse_catalog_file, read_report
+from oracles import read_report
+from resurge.ingest import load_dataset, parse_allowlist, parse_catalog_file
 from resurge.numerics import f_survival, regularized_incomplete_beta
 from resurge.series import TimeSeries
 

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import read_report
 from resurge.cli import RunConfig, main
-from resurge.ingest import read_report
 
 # outputs of `python -m resurge {pipeline,ccdf} --manifest data/demo/manifest.json
 # --catalog data/demo/catalog.csv --allowlist data/demo/allowlist.txt

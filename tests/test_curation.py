@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from resurge import curation
 from resurge.curation import (
     STAGE_NAMES,
     CatalogEntry,
@@ -263,11 +264,20 @@ def test_kept_records_carry_processed_series():
         assert record.short_video_series.days.tolist() == record.web_search_series.days.tolist()
         assert record.short_video_series.is_daily
         assert len(record.short_video_series) >= 20
-    keep_1, keep_2 = kept
-    assert keep_1.catalog is CATALOG[0]
-    assert keep_1.manual is False
-    assert keep_2.catalog is None
-    assert keep_2.manual is True
+
+
+def test_allowlisted_songs_never_reach_the_matcher(monkeypatch):
+    matched = []
+
+    def recording_match_catalog(record, *args, **kwargs):
+        matched.append(record.song_id)
+        return match_catalog(record, *args, **kwargs)
+
+    monkeypatch.setattr(curation, "match_catalog", recording_match_catalog)
+    kept, _ = run_fixture()
+    assert [r.song_id for r in kept] == ["keep-1", "keep-2"]
+    assert "keep-1" in matched
+    assert "keep-2" not in matched
 
 
 def test_allowlist_skips_gates_not_processing():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import read_report
 from resurge.ingest import (
     MANIFEST_FORMAT_VERSION,
     DatasetManifest,
@@ -17,7 +18,6 @@ from resurge.ingest import (
     parse_allowlist,
     parse_catalog_file,
     parse_series_file,
-    read_report,
     write_manifest,
     write_report,
     write_series_file,
@@ -131,11 +131,14 @@ def test_parse_catalog(tmp_path):
         "title,artist,release_date,release_kind\n"
         '"Hey, You",Some Band,2015-04-01,single\n'
         "Plain Title,Another Band,2016-01-15,album\n"
+        "#1 Crush,Garbage,1996-01-01,single\n"
     )
     entries = parse_catalog_file(path)
     assert entries[0].title == "Hey, You"
     assert entries[0].release_kind == "single"
     assert entries[1].release_date.isoformat() == "2016-01-15"
+    # the catalog has no comment syntax; '#' is an ordinary title character
+    assert entries[2].title == "#1 Crush"
 
 
 def test_parse_catalog_errors(tmp_path):
@@ -200,6 +203,13 @@ def test_manifest_validation(tmp_path):
     path.write_text(json.dumps(manifest_payload([song, song])))
     with pytest.raises(ParseError, match="duplicate song identifier: x"):
         load_manifest(path)
+
+    # song ids become output file names, so a path separator is rejected
+    for song_id in ("../escaped", "a\\b"):
+        bad = dict(song, song_id=song_id)
+        path.write_text(json.dumps(manifest_payload([song, bad])))
+        with pytest.raises(ParseError, match=r"songs\[1\] song_id .* path separator"):
+            load_manifest(path)
 
 
 def write_series_csv(path, rows):
