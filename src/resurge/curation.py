@@ -19,7 +19,9 @@ from __future__ import annotations
 import datetime as dt
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
 from .series import TimeSeries, align_pair, interpolate_daily, peak_window
@@ -70,6 +72,11 @@ class CatalogEntry:
         if not self.title.strip() or not self.artist.strip():
             raise ValueError("catalog entries need a non-empty title and artist")
 
+    @cached_property
+    def _match_texts(self) -> tuple[_MatchText, _MatchText]:
+        """Title and artist prepared for matching, built on first use."""
+        return _MatchText(self.title), _MatchText(self.artist)
+
 
 @dataclass(frozen=True)
 class SongRecord:
@@ -99,21 +106,80 @@ def _normalize(text: str) -> str:
     return _WHITESPACE.sub(" ", text.lower()).strip()
 
 
+def _char_masks(text: str) -> dict[str, int]:
+    """Bit i of the mask of ch is set where text[i] == ch."""
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(text):
+        masks[ch] = masks.get(ch, 0) | 1 << i
+    return masks
+
+
+def _lcs_length(masks: dict[str, int], m: int, text: str) -> int:
+    """Length of the longest common subsequence of a needle and ``text``.
+
+    ``masks`` are the needle's ``_char_masks`` and ``m`` its length.  This is
+    the bit-parallel recurrence of Allison & Dix (1986) in the form of Hyyrö
+    (2004), "Bit-parallel LCS-length computation revisited"; RapidFuzz's Indel
+    scorer uses the same method.  The zero bits of ``v`` count the LCS.
+    """
+    full = (1 << m) - 1
+    v = full
+    get = masks.get
+    for ch in text:
+        u = v & get(ch, 0)
+        v = ((v + u) | (v - u)) & full
+    return m - v.bit_count()
+
+
+class _MatchText:
+    """One normalized string with its LCS masks and character counts."""
+
+    __slots__ = ("text", "masks", "counts")
+
+    def __init__(self, raw: str) -> None:
+        self.text = _normalize(raw)
+        if not self.text:
+            raise ValueError("strings must be non-empty after normalization")
+        self.masks = _char_masks(self.text)
+        self.counts = Counter(self.text)
+
+
+def _score(m: int, n: int, lcs: int) -> float:
+    # the integer indel first, then 1 - indel / total: algebraically equal
+    # forms such as 2 * lcs / total round differently at the half percent
+    return 1.0 - (m + n - 2 * lcs) / (m + n)
+
+
+def _percent(score: float) -> int:
+    return int(math.floor(score * 100.0 + 0.5))
+
+
+def _similarity(a: _MatchText, b: _MatchText) -> int:
+    """The ``partial_ratio`` of two prepared strings."""
+    s, l = (b, a) if len(a.text) > len(b.text) else (a, b)
+    m, hay = len(s.text), l.text
+    # every window has the same denominator, so the longest LCS scores best
+    lcs = max(_lcs_length(s.masks, m, hay[i : i + m]) for i in range(len(hay) - m + 1))
+    best = _score(m, m, lcs)
+    if len(hay) < 2 * m and len(hay) != m:
+        best = max(best, _score(m, len(hay), _lcs_length(s.masks, m, hay)))
+    return _percent(best)
+
+
+def _similarity_bound(a: _MatchText, b: _MatchText) -> int:
+    """An upper bound on ``_similarity(a, b)`` from character counts alone.
+
+    Every candidate's LCS is at most the size of the multiset intersection,
+    and the whole-string candidate scores no higher than a window with the same
+    LCS.
+    """
+    m = min(len(a.text), len(b.text))
+    return _percent(_score(m, m, sum((a.counts & b.counts).values())))
+
+
 def indel_distance(a: str, b: str) -> int:
     """Minimum number of single-character insertions and deletions from a to b."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i in range(1, len(a) + 1):
-        cur = [i] + [0] * len(b)
-        ai = a[i - 1]
-        for j in range(1, len(b) + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1]
-            else:
-                cur[j] = 1 + min(prev[j], cur[j - 1])
-        prev = cur
-    return prev[len(b)]
+    return len(a) + len(b) - 2 * _lcs_length(_char_masks(a), len(a), b)
 
 
 def partial_ratio(a: str, b: str) -> int:
@@ -126,21 +192,15 @@ def partial_ratio(a: str, b: str) -> int:
     Each candidate scores 1 - indel / (len_s + len_w); the best score is
     returned as an integer percentage, rounded half-up.
     """
-    s = _normalize(a)
-    l = _normalize(b)
-    if not s or not l:
-        raise ValueError("strings must be non-empty after normalization")
-    if len(s) > len(l):
-        s, l = l, s
-    candidates = [l[i : i + len(s)] for i in range(len(l) - len(s) + 1)]
-    if len(l) < 2 * len(s) and len(l) != len(s):
-        candidates.append(l)
-    best = 0.0
-    for w in candidates:
-        score = 1.0 - indel_distance(s, w) / (len(s) + len(w))
-        if score > best:
-            best = score
-    return int(math.floor(best * 100.0 + 0.5))
+    return _similarity(_MatchText(a), _MatchText(b))
+
+
+def _rank_key(entry: CatalogEntry, title_score: int, artist_score: int, threshold: int):
+    """The sort key of ``match_catalog``, or None when a score fails the threshold."""
+    low = min(title_score, artist_score)
+    if low <= threshold:
+        return None
+    return (-low, entry.release_date, entry.title)
 
 
 def match_catalog(
@@ -154,18 +214,32 @@ def match_catalog(
     display title.  Candidates rank by the smaller of the two scores; ties
     break toward the earlier release date, then the lexicographically
     smaller title, so matching is deterministic.
+
+    Scores start as upper bounds and are made exact one at a time.  A key
+    built from bounds is never better than the exact key, so an entry is
+    dropped as soon as such a key fails the threshold or cannot beat the
+    best key so far; this never changes the match.
     """
-    best_key = None
+    if not catalog:
+        return None
+    display = _MatchText(record.display_title)
+    best_key: tuple = (math.inf,)  # ranks after every real key
     best_entry = None
     for entry in catalog:
-        title_score = partial_ratio(entry.title, record.display_title)
-        artist_score = partial_ratio(entry.artist, record.display_title)
-        if title_score <= threshold or artist_score <= threshold:
+        title, artist = entry._match_texts
+        artist_bound = _similarity_bound(artist, display)
+        key = _rank_key(entry, _similarity_bound(title, display), artist_bound, threshold)
+        if key is None or key >= best_key:
             continue
-        key = (-min(title_score, artist_score), entry.release_date, entry.title)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_entry = entry
+        title_score = _similarity(title, display)
+        key = _rank_key(entry, title_score, artist_bound, threshold)
+        if key is None or key >= best_key:
+            continue
+        key = _rank_key(entry, title_score, _similarity(artist, display), threshold)
+        if key is None or key >= best_key:
+            continue
+        best_key = key
+        best_entry = entry
     return best_entry
 
 

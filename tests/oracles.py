@@ -4,7 +4,8 @@ Every routine here reaches its answer by a different route than the package:
 normal equations solved by hand-rolled Gaussian elimination instead of
 orthogonal factorization, closed-form beta polynomials and recurrences
 instead of continued fractions, an arbitrary-precision tail probability, an
-LCS-based edit distance, a Runge-Kutta integration of the diffusion ODE, and
+LCS-based edit distance and a catalog matcher that scores every entry with
+it, a Runge-Kutta integration of the diffusion ODE, and
 central differences instead of the analytic Jacobian.  It also holds
 ``read_report``, the reader the tests use to load the package's JSONL and CSV
 reports back; the package itself only writes them.
@@ -206,6 +207,26 @@ def partial_ratio_windows(a: str, b: str) -> int:
         1.0 - indel_distance_lcs(s, w) / (len(s) + len(w)) for w in candidates
     )
     return int(math.floor(best * 100.0 + 0.5))
+
+
+def match_catalog_reference(display_title: str, catalog, threshold: int):
+    """Score every entry with the window oracle; the smallest key wins.
+
+    The key is (-min(title score, artist score), release date, title), both
+    scores must exceed ``threshold``, and the first of equal keys is kept.
+    """
+    best_key = None
+    best_entry = None
+    for entry in catalog:
+        title_score = partial_ratio_windows(entry.title, display_title)
+        artist_score = partial_ratio_windows(entry.artist, display_title)
+        if min(title_score, artist_score) <= threshold:
+            continue
+        key = (-min(title_score, artist_score), entry.release_date, entry.title)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_entry = entry
+    return best_entry
 
 
 # ---------------------------------------------------------------------------

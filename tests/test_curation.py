@@ -91,6 +91,34 @@ def test_partial_ratio_verbatim_occurrence(prefix, needle, suffix):
     assert partial_ratio(needle, hay) == 100
 
 
+def test_partial_ratio_kernel_edge_cases():
+    """Masks wider than 64 bits, tie-heavy alphabets and length-changing case folds."""
+    rng = np.random.default_rng(88)
+    alphabets = ["ab", "abc", "ab ", "aİ\t\u00a0b", "abcdefgh xyz!?"]
+
+    def draw(alphabet, lo, hi):
+        while True:
+            text = "".join(rng.choice(list(alphabet), int(rng.integers(lo, hi + 1))))
+            if text.strip():
+                return text
+
+    pairs = [(draw(alpha, 1, 30), draw(alpha, 1, 30)) for alpha in alphabets for _ in range(40)]
+    # needles of 65-100 characters against hays of up to 150
+    pairs += [(draw(alpha, 65, 100), draw(alpha, 100, 150)) for alpha in alphabets[:3]]
+    pairs += [(draw("ab", 150, 150), draw("ab", 150, 150))]
+    # "İ".lower() is two characters, so the needle grows under normalization
+    pairs += [("İİ", "xi\u0307i\u0307y"), ("a\tİ", "a İ b"), ("x\u00a0y", "x y")]
+    for a, b in pairs:
+        assert partial_ratio(a, b) == oracles.partial_ratio_windows(a, b), (a, b)
+
+    # one 40-character window with LCS 13: indel 54 over 80.  1 - 54/80 rounds
+    # to 32 in floating point, while the equal fraction 26/80 would give 33.
+    needle, hay = "a" * 13 + "b" * 27, "a" * 13 + "c" * 27
+    assert indel_distance(needle, hay) == 54
+    assert int(26 / 80 * 100.0 + 0.5) == 33
+    assert partial_ratio(needle, hay) == oracles.partial_ratio_windows(needle, hay) == 32
+
+
 # --- match_catalog ----------------------------------------------------------------
 
 
@@ -161,6 +189,42 @@ def test_match_tie_breaks():
     a = entry("Echo", "Rivertown", date=dt.date(2010, 1, 1))
     b = entry("Rivertown", "Rivertown", date=dt.date(2010, 1, 1))
     assert match_catalog(song("x", display), [b, a]).title == "Echo"
+
+
+@st.composite
+def tied_catalogs(draw):
+    """A display title and 0-30 entries drawn from tiny pools, so scores,
+    dates and titles tie often; some displays name a pooled title and artist."""
+    words = st.text(alphabet="abc de", min_size=1, max_size=8).filter(lambda s: s.strip())
+    titles = draw(st.lists(words, min_size=1, max_size=4))
+    artists = draw(st.lists(words, min_size=1, max_size=4))
+    dates = [dt.date(2010, 1, 1) + dt.timedelta(days=d) for d in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))]
+    catalog = [
+        entry(draw(st.sampled_from(titles)), draw(st.sampled_from(artists)), draw(st.sampled_from(dates)))
+        for _ in range(draw(st.integers(0, 30)))
+    ]
+    display = draw(
+        st.one_of(
+            words,
+            st.builds(lambda t, a: f"{t} by {a}", st.sampled_from(titles), st.sampled_from(artists)),
+        )
+    )
+    return display, catalog
+
+
+@given(tied_catalogs(), st.integers(0, 100))
+@settings(max_examples=150, deadline=None)
+def test_match_catalog_pruning_is_lossless(case, threshold):
+    display, catalog = case
+    expected = oracles.match_catalog_reference(display, catalog, threshold)
+    assert match_catalog(song("x", display), catalog, threshold) is expected
+
+
+@given(text_strategy, text_strategy)
+@settings(max_examples=200, deadline=None)
+def test_similarity_bound_never_below_exact_score(a, b):
+    bound = curation._similarity_bound(curation._MatchText(a), curation._MatchText(b))
+    assert bound >= oracles.partial_ratio_windows(a, b)
 
 
 def test_catalog_entry_validation():
