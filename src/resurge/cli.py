@@ -73,7 +73,7 @@ class RunConfig:
 
 def _parse_iso_date(text: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(text)
+        return ingest.parse_iso_date(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid ISO date {text!r}") from None
 

@@ -1,14 +1,16 @@
 """File formats: series and catalog CSVs, dataset manifests, report writers.
 
-All parsing is locale-independent (ISO-8601 dates, plain decimal numbers) and
-every parse error carries the file path and line number.  Writers are
-deterministic: the same inputs always produce the same bytes.
+Input files are UTF-8.  All parsing is locale-independent (``YYYY-MM-DD``
+dates, plain ASCII decimal numbers) and every parse error carries the file
+path and line number.  Writers are deterministic: the same inputs always
+produce the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
 import math
 import re
@@ -24,6 +26,7 @@ from .series import TimeSeries
 __all__ = [
     "MANIFEST_FORMAT_VERSION",
     "ParseError",
+    "parse_iso_date",
     "ManifestEntry",
     "DatasetManifest",
     "parse_series_file",
@@ -38,11 +41,21 @@ __all__ = [
 
 MANIFEST_FORMAT_VERSION = 1
 
-# non-negative decimal, optional exponent; covers repr() of any non-negative
-# finite float, rejects signs, inf/nan, underscores and hex forms
-_VALUE_RE = re.compile(r"^(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?$")
+# non-negative ASCII decimal, optional exponent; covers repr() of any
+# non-negative finite float, rejects signs, inf/nan, underscores, hex forms and
+# non-ASCII digits
+_VALUE = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# date.fromisoformat alone accepts more forms on newer Pythons (20210101,
+# 2021-W01-2), so the grammar is pinned here
+_DATE = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_VALUE_RE = re.compile(_VALUE)
+_DATE_RE = re.compile(_DATE)
 
 _SERIES_HEADER = ["date", "value"]
+# the exact form write_series_file writes: header, then "date,value\n" rows
+# with no whitespace, comments, blank lines or "\r"
+_CANONICAL_SERIES_HEADER = "date,value\n"
+_CANONICAL_SERIES_BODY_RE = re.compile(rf"(?:{_DATE},{_VALUE}\n)+")
 _CATALOG_HEADER = ["title", "artist", "release_date", "release_kind"]
 
 
@@ -70,32 +83,88 @@ class DatasetManifest:
     songs: tuple[ManifestEntry, ...]
 
 
+def parse_iso_date(text: str) -> dt.date:
+    """The date that ``YYYY-MM-DD`` *text* names; ``ValueError`` for any other form."""
+    if not _DATE_RE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _parse_date(text: str, path, lineno: int) -> int:
     try:
-        return dt.date.fromisoformat(text).toordinal()
+        return parse_iso_date(text).toordinal()
     except ValueError:
         raise ParseError(path, lineno, f"invalid ISO date {text!r}") from None
 
 
-def _content_lines(path) -> Iterable[tuple[int, str]]:
-    """Line numbers and stripped text of the non-blank lines."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                yield lineno, line
+def _read_text(path) -> str:
+    """The whole file decoded as UTF-8; invalid bytes are a ParseError with their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # line breaks as the line reader counts them: "\n", "\r" and "\r\n"
+        before = data[: exc.start]
+        lineno = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise ParseError(
+            path, lineno, f"invalid UTF-8 byte 0x{data[exc.start]:02x} ({exc.reason})"
+        ) from None
+
+
+def _content_lines(text: str) -> Iterable[tuple[int, str]]:
+    """Line numbers and stripped text of the non-blank lines of a file's text."""
+    # newline="" splits at "\n", "\r" and "\r\n", as reading the file does
+    for lineno, raw in enumerate(io.StringIO(text, newline=""), start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def _bulk_series(text: str) -> TimeSeries | None:
+    """The series of a file in canonical form, or None for the line reader to handle.
+
+    Uses the same conversions as the line reader, so whatever it returns is
+    what the line reader would return.  Anything it cannot vouch for (another
+    layout, a date that does not exist, an overflowing value, unsorted or
+    repeated days) is left to the line reader, which alone reports errors.
+    """
+    start = len(_CANONICAL_SERIES_HEADER)
+    if not (text.startswith(_CANONICAL_SERIES_HEADER)
+            and _CANONICAL_SERIES_BODY_RE.fullmatch(text, start)):
+        return None
+    # "d1,v1\nd2,v2\n" -> [d1, v1, d2, v2, ""]
+    fields = text[start:].replace("\n", ",").split(",")
+    count = len(fields) // 2
+    try:
+        days = np.fromiter(
+            map(dt.date.toordinal, map(dt.date.fromisoformat, fields[0:-1:2])),
+            dtype=np.int64, count=count,
+        )
+        values = np.fromiter(map(float, fields[1::2]), dtype=np.float64, count=count)
+        # rejects non-finite values and days that are not strictly increasing
+        return TimeSeries(days=days, values=values)
+    except ValueError:
+        return None
 
 
 def parse_series_file(path) -> TimeSeries:
     """Read a ``date,value`` CSV into a series, sorting rows by date.
 
     Blank lines and ``#`` comments are skipped.  Duplicate dates are an
-    error naming both offending lines.
+    error naming both offending lines.  A file in the form
+    :func:`write_series_file` writes is converted in bulk; any other file
+    goes through the line reader, with the same result.
     """
+    text = _read_text(path)
+    series = _bulk_series(text)
+    return series if series is not None else _parse_series_lines(path, text)
+
+
+def _parse_series_lines(path, text: str) -> TimeSeries:
     rows: list[tuple[int, float]] = []
     first_day_line: dict[int, int] = {}
     saw_header = False
-    for lineno, line in _content_lines(path):
+    for lineno, line in _content_lines(text):
         if line.startswith("#"):
             continue
         if not saw_header:
@@ -108,7 +177,7 @@ def parse_series_file(path) -> TimeSeries:
             raise ParseError(path, lineno, f"expected 2 fields, got {len(parts)}")
         day = _parse_date(parts[0].strip(), path, lineno)
         value_text = parts[1].strip()
-        value = float(value_text) if _VALUE_RE.match(value_text) else math.nan
+        value = float(value_text) if _VALUE_RE.fullmatch(value_text) else math.nan
         if not math.isfinite(value):
             raise ParseError(path, lineno, f"invalid value {value_text!r}")
         if day in first_day_line:
@@ -143,7 +212,7 @@ def parse_catalog_file(path) -> list[CatalogEntry]:
     """
     entries: list[CatalogEntry] = []
     saw_header = False
-    for lineno, line in _content_lines(path):
+    for lineno, line in _content_lines(_read_text(path)):
         try:
             parts = next(csv.reader([line]))
         except csv.Error as exc:
@@ -178,7 +247,7 @@ def parse_catalog_file(path) -> list[CatalogEntry]:
 
 def parse_allowlist(path) -> list[str]:
     """One song id per line; blanks and ``#`` comments are skipped."""
-    return [line for _, line in _content_lines(path) if not line.startswith("#")]
+    return [line for _, line in _content_lines(_read_text(path)) if not line.startswith("#")]
 
 
 def load_manifest(path) -> DatasetManifest:

@@ -95,10 +95,12 @@ def test_invalid_config_value_fails_cleanly(capsys, tmp_path, demo_dir):
     assert "--alpha" in capsys.readouterr().err
 
 
-def test_unparseable_date_is_an_argparse_error(demo_dir, tmp_path):
-    with pytest.raises(SystemExit):
-        main(["curate"] + demo_args(demo_dir, tmp_path)
-             + ["--cutoff-date", "monday"])
+def test_unparseable_date_is_an_argparse_error(capsys, demo_dir, tmp_path):
+    for text in ("monday", "20160930", "2016-W39-5"):
+        with pytest.raises(SystemExit):
+            main(["curate"] + demo_args(demo_dir, tmp_path)
+                 + ["--cutoff-date", text])
+        assert f"invalid ISO date '{text}'" in capsys.readouterr().err
 
 
 def test_unreadable_manifest_exits_one(capsys, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import read_report
+from resurge import ingest
 from resurge.ingest import (
     MANIFEST_FORMAT_VERSION,
     DatasetManifest,
@@ -40,6 +41,8 @@ def test_parse_two_rows(tmp_path):
 def test_parse_sorts_rows(tmp_path):
     shuffled = tmp_path / "a.csv"
     shuffled.write_text("date,value\n2021-01-03,3\n2021-01-01,1\n2021-01-02,2\n")
+    # canonical in form, so it passes the bulk gate before the line reader sorts it
+    assert ingest._CANONICAL_SERIES_BODY_RE.fullmatch(shuffled.read_text()[len("date,value\n"):])
     ordered = tmp_path / "b.csv"
     ordered.write_text("date,value\n2021-01-01,1\n2021-01-02,2\n2021-01-03,3\n")
     assert parse_series_file(shuffled) == parse_series_file(ordered)
@@ -73,6 +76,18 @@ def test_parse_error_carries_line_numbers(tmp_path):
     with pytest.raises(ParseError, match="expected 2 fields, got 3"):
         parse_series_file(path)
 
+    # values are ASCII decimals: float() alone would read Arabic-Indic 12
+    path.write_text("date,value\n2021-01-01,\u0661\u0662\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=":2: invalid value '\u0661\u0662'"):
+        parse_series_file(path)
+
+    # dates are YYYY-MM-DD on every Python version; 3.11's fromisoformat reads
+    # the basic and week forms too
+    for text in ("20210101", "2021-W01-2", "2021-01-01T00", "\uff12\uff10\uff12\uff11-01-01"):
+        path.write_text(f"date,value\n{text},1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f":2: invalid ISO date '{text}'"):
+            parse_series_file(path)
+
     path.write_text("value,date\n")
     with pytest.raises(ParseError, match=r":1: expected 'date,value' header"):
         parse_series_file(path)
@@ -83,6 +98,51 @@ def test_parse_duplicate_date_names_both_lines(tmp_path):
     path.write_text("date,value\n2021-01-01,1\n2021-01-02,2\n2021-01-01,3\n")
     with pytest.raises(ParseError, match=r":4: duplicate date 2021-01-01 \(first seen on line 2\)"):
         parse_series_file(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("2021-01-01,1\n2021-02-30,2\n", ":3: invalid ISO date '2021-02-30'"),
+        ("2021-01-01,1\n2021-01-02,1e400\n", ":3: invalid value '1e400'"),
+        ("0000-01-01,1\n", ":2: invalid ISO date '0000-01-01'"),
+        ("2021-01-01,1\n2021-01-02,2\n2021-01-01,3\n",
+         ":4: duplicate date 2021-01-01 (first seen on line 2)"),
+    ],
+    ids=["no-such-day", "overflow", "year-zero", "duplicate"],
+)
+def test_canonical_file_errors_come_from_the_line_reader(tmp_path, body, message):
+    # each file passes the bulk gate, so the line reader must report the error
+    assert ingest._CANONICAL_SERIES_BODY_RE.fullmatch(body)
+    path = tmp_path / "s.csv"
+    path.write_text("date,value\n" + body)
+    with pytest.raises(ParseError) as info:
+        parse_series_file(path)
+    assert str(info.value) == f"{path}{message}"
+
+
+def test_invalid_utf8_names_file_and_line(tmp_path):
+    series = tmp_path / "s.csv"
+    series.write_bytes(b"date,value\r\n2021-01-01,1\r2021-01-02,\xff\n")
+    with pytest.raises(ParseError) as info:
+        parse_series_file(series)
+    assert str(info.value) == f"{series}:3: invalid UTF-8 byte 0xff (invalid start byte)"
+
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_bytes(b"title,artist,release_date,release_kind\nCaf\xe9,A,2015-01-01,single\n")
+    with pytest.raises(ParseError, match=rf"{catalog}:2: invalid UTF-8 byte 0xe9"):
+        parse_catalog_file(catalog)
+
+    allowlist = tmp_path / "allow.txt"
+    allowlist.write_bytes(b"sr-001\n\n\x80\n")
+    with pytest.raises(ParseError, match=rf"{allowlist}:3: invalid UTF-8 byte 0x80"):
+        parse_allowlist(allowlist)
+
+    songs = [{"song_id": "garbled", "display_title": "G by H", "short_video": "s.csv"}]
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest_payload(songs)))
+    with pytest.raises(ParseError, match=rf"song 'garbled': {series}:3: invalid UTF-8"):
+        load_dataset(manifest_path)
 
 
 def test_parse_empty_and_header_only(tmp_path):
@@ -122,6 +182,52 @@ def test_series_round_trip_bit_exact(tmp_path_factory, values, start_day):
     assert all(a == b for a, b in zip(back.values, series.values))
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(1, 3_000_000),
+            st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=30,
+        unique_by=lambda row: row[0],
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_line_reader_matches_bulk_path(tmp_path_factory, rows, rng):
+    rows.sort()
+    directory = tmp_path_factory.mktemp("forms")
+    canonical = directory / "canonical.csv"
+    write_series_file(
+        TimeSeries(days=[d for d, _ in rows], values=[v for _, v in rows]), canonical
+    )
+    text = canonical.read_text(encoding="utf-8")
+    assert ingest._bulk_series(text) is not None
+    expected = parse_series_file(canonical)
+
+    header, *lines = text.splitlines()
+    shuffled = lines[:]
+    rng.shuffle(shuffled)
+    padded = [" " + line.replace(",", " ,\t") + " " for line in lines]
+    forms = {
+        "crlf": text.replace("\n", "\r\n"),
+        "comment": "# comment\n" + text,
+        "trailing_blank": text + "\n",
+        "padded": "\n".join([header] + padded) + "\n",
+        "no_final_newline": text[:-1],
+        "shuffled": "\n".join([header] + shuffled) + "\n",
+    }
+    for name, form in forms.items():
+        if name != "shuffled":
+            assert ingest._bulk_series(form) is None, name
+        path = directory / f"{name}.csv"
+        path.write_text(form, encoding="utf-8", newline="")
+        back = parse_series_file(path)
+        assert back.days.tobytes() == expected.days.tobytes(), name
+        assert back.values.tobytes() == expected.values.tobytes(), name
+
+
 # --- catalog and allowlist -----------------------------------------------------------
 
 
@@ -148,6 +254,9 @@ def test_parse_catalog_errors(tmp_path):
         parse_catalog_file(path)
     path.write_text("title,artist,release_date,release_kind\nT,A,2015-01-01,ep\n")
     with pytest.raises(ParseError, match="invalid release_kind 'ep'"):
+        parse_catalog_file(path)
+    path.write_text("title,artist,release_date,release_kind\nT,A,20150101,single\n")
+    with pytest.raises(ParseError, match=":2: invalid ISO date '20150101'"):
         parse_catalog_file(path)
     path.write_text("nope\n")
     with pytest.raises(ParseError, match="header"):
