@@ -32,7 +32,6 @@ __all__ = [
     "bass_cumulative",
     "bass_remaining",
     "bass_instantaneous",
-    "bass_residual_jacobian",
     "fit_cumulative",
     "fit_bass",
     "batch_bass",
@@ -118,6 +117,24 @@ def _cumulative_for(p: float, q: float, times: np.ndarray) -> np.ndarray:
     return (1.0 - decay) / (1.0 + (q / p) * decay)
 
 
+def _cumulative_and_jacobian(theta: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(t) and its Jacobian w.r.t. (p, q), both from one ``decay`` array.
+
+    F takes the float operations of ``_cumulative_for``, so the two agree bit
+    for bit.  The derivative is analytic because finite differences probe
+    outside p > 0 near the lower bound.
+    """
+    p, q = float(theta[0]), float(theta[1])
+    decay = np.exp(-(p + q) * times)
+    ratio = q / p
+    denom = 1.0 + ratio * decay
+    d_decay = -times * decay  # same for p and q
+    one_minus = 1.0 - decay
+    d_p = (-d_decay * denom - one_minus * (-(q / p**2) * decay + ratio * d_decay)) / denom**2
+    d_q = (-d_decay * denom - one_minus * ((1.0 / p) * decay + ratio * d_decay)) / denom**2
+    return one_minus / denom, np.column_stack([d_p, d_q])
+
+
 def bass_cumulative(params: BassParams, t):
     """Adoption fraction F(t); accepts a scalar or an array of times."""
     out = _cumulative_for(params.p, params.q, np.asarray(t, dtype=np.float64))
@@ -141,24 +158,6 @@ def bass_instantaneous(params: BassParams, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def bass_residual_jacobian(theta: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the cumulative curve w.r.t. (p, q).
-
-    Matches the central-difference Jacobian of the residual to high accuracy
-    at interior points; used by the fitter because finite differences probe
-    outside p > 0 near the lower bound.
-    """
-    p, q = float(theta[0]), float(theta[1])
-    decay = np.exp(-(p + q) * times)
-    ratio = q / p
-    denom = 1.0 + ratio * decay
-    d_decay = -times * decay  # same for p and q
-    one_minus = 1.0 - decay
-    d_p = (-d_decay * denom - one_minus * (-(q / p**2) * decay + ratio * d_decay)) / denom**2
-    d_q = (-d_decay * denom - one_minus * ((1.0 / p) * decay + ratio * d_decay)) / denom**2
-    return np.column_stack([d_p, d_q])
-
-
 def fit_cumulative(times: np.ndarray, observed: np.ndarray) -> BassFit:
     """Least-squares (p, q) for observed cumulative fractions at given times.
 
@@ -173,15 +172,13 @@ def fit_cumulative(times: np.ndarray, observed: np.ndarray) -> BassFit:
     if times.size < 2:
         raise ValueError("need at least two observations to fit")
 
-    def residual(theta: np.ndarray) -> np.ndarray:
-        return _cumulative_for(theta[0], theta[1], times) - observed
-
-    def jacobian(theta: np.ndarray) -> np.ndarray:
-        return bass_residual_jacobian(theta, times)
+    def model(theta: np.ndarray):
+        curve, jac = _cumulative_and_jacobian(theta, times)
+        return curve - observed, jac
 
     scored = []
     for i, (p0, q0) in enumerate((p, q) for p in GRID_P for q in GRID_Q):
-        r0 = residual(np.array([p0, q0]))
+        r0 = _cumulative_for(p0, q0, times) - observed
         if np.all(np.isfinite(r0)):
             scored.append((float(np.linalg.norm(r0)), i, (p0, q0)))
     if not scored:
@@ -191,9 +188,8 @@ def fit_cumulative(times: np.ndarray, observed: np.ndarray) -> BassFit:
     best: NlsFit | None = None
     for _, _, start in scored[:_REFINE_STARTS]:
         fit = damped_least_squares(
-            residual,
+            model,
             np.array(start),
-            jacobian=jacobian,
             bounds=[P_BOUNDS, Q_BOUNDS],
             max_iter=_FIT_MAX_ITER,
             tol=_FIT_TOL,

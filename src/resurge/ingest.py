@@ -251,9 +251,11 @@ def parse_allowlist(path) -> list[str]:
 
 
 def load_manifest(path) -> DatasetManifest:
+    # newline=None turns "\r\n" and "\r" into "\n", as reading in text mode
+    # does, so JSON error line numbers count every kind of line break
+    text = io.StringIO(_read_text(path), newline=None).read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
     if not isinstance(payload, dict):

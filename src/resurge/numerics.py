@@ -197,21 +197,28 @@ def _expand_bounds(
     return lo, hi
 
 
+def _evaluate(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    # the residual norm is NaN when the residual or the Jacobian is non-finite
+    resid, J = (np.asarray(a, dtype=np.float64) for a in model(x))
+    finite = np.all(np.isfinite(resid)) and np.all(np.isfinite(J))
+    return resid, J, float(np.linalg.norm(resid)) if finite else math.nan
+
+
 def damped_least_squares(
-    model: Callable[[np.ndarray], np.ndarray],
+    model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     init: np.ndarray,
-    jacobian: Callable[[np.ndarray], np.ndarray],
     bounds: Sequence[tuple[float, float]] | None = None,
     max_iter: int = 100,
     tol: float = 1e-10,
 ) -> NlsFit:
-    """Minimize ||model(params)||^2 by Gauss-Newton steps with adaptive damping.
+    """Minimize ||r(params)||^2 by Gauss-Newton steps with adaptive damping.
 
-    ``jacobian(params)`` returns the derivative of ``model`` at ``params``,
-    one row per residual and one column per parameter.
+    ``model(params)`` returns r and its Jacobian (one row per residual, one
+    column per parameter).  It runs once at ``init`` and once per trial point.
+    A non-finite r or Jacobian is a ValueError at ``init`` and rejects a trial.
 
-    The damping factor multiplies by 10 whenever a step increases the residual
-    norm (the step is rejected) and divides by 10 on a decrease.  Steps are
+    The damping factor multiplies by 10 whenever a step is rejected, as when it
+    increases the residual norm, and divides by 10 on a decrease.  Steps are
     clamped to ``bounds``.  Converged when the relative residual-norm
     improvement of an accepted step falls below ``tol`` or the step norm does.
     The returned residual norm never exceeds the norm at ``init``; a run that
@@ -226,20 +233,15 @@ def damped_least_squares(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    resid = np.asarray(model(x), dtype=np.float64)
-    if not np.all(np.isfinite(resid)):
+    resid, J, cost = _evaluate(model, x)
+    if math.isnan(cost):
         raise ValueError("invalid starting point")
-    cost = float(np.linalg.norm(resid))
 
     lam = 1e-3
     eye = np.eye(x.size)
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        J = np.asarray(jacobian(x), dtype=np.float64)
-        if not np.all(np.isfinite(J)):
-            lam = min(lam * 10.0, 1e12)
-            continue
         grad = J.T @ resid
         try:
             step = np.linalg.solve(J.T @ J + lam * eye, -grad)
@@ -247,14 +249,13 @@ def damped_least_squares(
             lam = min(lam * 10.0, 1e12)
             continue
         x_new = np.clip(x + step, lo, hi)
-        resid_new = np.asarray(model(x_new), dtype=np.float64)
-        cost_new = float(np.linalg.norm(resid_new)) if np.all(np.isfinite(resid_new)) else np.inf
-        if cost_new > cost:
+        resid_new, J_new, cost_new = _evaluate(model, x_new)
+        if not cost_new <= cost:  # a NaN cost, from a non-finite trial, is rejected too
             lam = min(lam * 10.0, 1e12)
             continue
         step_norm = float(np.linalg.norm(x_new - x))
         improvement = cost - cost_new
-        x, resid, cost = x_new, resid_new, cost_new
+        x, resid, J, cost = x_new, resid_new, J_new, cost_new
         lam = max(lam / 10.0, 1e-12)
         if step_norm < tol or cost == 0.0 or improvement < tol * cost:
             converged = True

@@ -15,10 +15,10 @@ from resurge.bass import (
     bass_cumulative,
     bass_instantaneous,
     bass_remaining,
-    bass_residual_jacobian,
     batch_bass,
     fit_bass,
     fit_cumulative,
+    _cumulative_and_jacobian,
 )
 from resurge.curation import SongRecord
 from resurge.series import TimeSeries
@@ -146,7 +146,8 @@ def test_analytic_jacobian_matches_finite_differences(p, q):
         decay = np.exp(-(th[0] + th[1]) * times)
         return (1.0 - decay) / (1.0 + (th[1] / th[0]) * decay)
 
-    analytic = bass_residual_jacobian(theta, times)
+    curve, analytic = _cumulative_and_jacobian(theta, times)
+    assert np.array_equal(curve, bass_cumulative(BassParams(p, q), times))
     numeric = oracles.finite_difference_jacobian(residual, theta)
     np.testing.assert_allclose(
         analytic, numeric, rtol=1e-5, atol=1e-8 * np.abs(analytic).max()

@@ -321,6 +321,22 @@ def test_manifest_validation(tmp_path):
             load_manifest(path)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_manifest_errors_name_the_line(tmp_path, newline):
+    path = tmp_path / "manifest.json"
+    lines = ['{', '  "format_version": 1,', '  "songs": [', '    {"song_id": "caf\xff"}', ']}']
+    path.write_bytes(newline.join(lines).encode("latin-1"))
+    with pytest.raises(ParseError) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{path}:4: invalid UTF-8 byte 0xff (invalid start byte)"
+
+    lines[3] = '    {"song_id": }'
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    with pytest.raises(ParseError) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{path}:4: invalid JSON: Expecting value"
+
+
 def write_series_csv(path, rows):
     path.write_text("date,value\n" + "".join(f"{d},{v}\n" for d, v in rows))
 

@@ -237,9 +237,10 @@ def test_f_survival_argument_validation():
 # --- jacobians and the optimizer ----------------------------------------------
 
 
-def fd_jacobian(model):
-    """The reference central-difference Jacobian of ``model``, as a callable."""
-    return lambda p: oracles.finite_difference_jacobian(model, p)
+def with_fd_jacobian(model):
+    """``model`` paired with its reference central-difference Jacobian, as the
+    solver takes them."""
+    return lambda p: (model(p), oracles.finite_difference_jacobian(model, p))
 
 
 def test_fd_jacobian_of_linear_map_is_exact():
@@ -255,7 +256,7 @@ def test_damped_ls_zero_residual_is_fixed_point():
     def model(p):
         return np.zeros(4)
 
-    fit = damped_least_squares(model, init, fd_jacobian(model))
+    fit = damped_least_squares(with_fd_jacobian(model), init)
     assert fit.converged
     assert fit.iterations <= 1
     np.testing.assert_array_equal(fit.params, init)
@@ -267,9 +268,8 @@ def test_damped_ls_quadratic_root():
         return np.array([p[0] ** 2 - 4.0])
 
     fit = damped_least_squares(
-        model,
+        with_fd_jacobian(model),
         np.array([1.0]),
-        fd_jacobian(model),
         bounds=[(0.0, 10.0)],
     )
     assert fit.converged
@@ -281,7 +281,49 @@ def test_damped_ls_invalid_start():
         return np.array([math.nan])
 
     with pytest.raises(ValueError, match="invalid starting point"):
-        damped_least_squares(model, np.array([1.0]), fd_jacobian(model))
+        damped_least_squares(with_fd_jacobian(model), np.array([1.0]))
+
+
+def test_damped_ls_non_finite_jacobian_at_start():
+    def model(p):
+        return np.array([p[0] - 3.0]), np.array([[math.nan]])
+
+    with pytest.raises(ValueError, match="invalid starting point"):
+        damped_least_squares(model, np.array([0.0]))
+
+
+@pytest.mark.parametrize("broken", ["residual", "jacobian"])
+def test_damped_ls_rejects_non_finite_trial(broken):
+    # the root at 3 lies where the model is non-finite: every step past 1 must be
+    # rejected, so the fit stops short of the root
+    def model(p):
+        resid, jac = np.array([p[0] - 3.0]), np.array([[1.0]])
+        if p[0] > 1.0:
+            if broken == "residual":
+                resid = np.array([math.nan])
+            else:
+                jac = np.array([[math.nan]])
+        return resid, jac
+
+    fit = damped_least_squares(model, np.array([0.0]), bounds=[(0.0, 10.0)], max_iter=50)
+    assert 0.0 < fit.params[0] <= 1.0
+    assert fit.residual_norm == 3.0 - fit.params[0]
+
+
+def test_damped_ls_evaluates_model_once_per_iterate():
+    # Rosenbrock residuals: the damped steps from (-1.2, 1) are often rejected
+    costs = []
+    paired = with_fd_jacobian(lambda p: np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]]))
+
+    def model(p):
+        resid, jac = paired(p)
+        costs.append(float(np.linalg.norm(resid)))
+        return resid, jac
+
+    fit = damped_least_squares(model, np.array([-1.2, 1.0]), max_iter=200)
+    assert fit.converged
+    assert len(costs) == fit.iterations + 1
+    assert any(cost > min(costs[:i]) for i, cost in enumerate(costs) if i)
 
 
 def test_damped_ls_init_outside_bounds():
@@ -290,7 +332,7 @@ def test_damped_ls_init_outside_bounds():
 
     with pytest.raises(ValueError, match="within bounds"):
         damped_least_squares(
-            model, np.array([2.0]), fd_jacobian(model), bounds=[(0.0, 1.0)]
+            with_fd_jacobian(model), np.array([2.0]), bounds=[(0.0, 1.0)]
         )
 
 
@@ -300,9 +342,8 @@ def test_damped_ls_respects_bounds():
         return np.array([p[0] + 3.0])
 
     fit = damped_least_squares(
-        model,
+        with_fd_jacobian(model),
         np.array([0.5]),
-        fd_jacobian(model),
         bounds=[(0.0, 1.0)],
         max_iter=50,
     )
@@ -319,7 +360,7 @@ def test_damped_ls_never_worse_than_init(seed):
     def model(p):
         return A @ p - b
 
-    fit = damped_least_squares(model, init, fd_jacobian(model), max_iter=20)
+    fit = damped_least_squares(with_fd_jacobian(model), init, max_iter=20)
     assert fit.residual_norm <= np.linalg.norm(A @ init - b) + 1e-12
 
 
@@ -336,9 +377,8 @@ def test_damped_ls_recovers_diffusion_params():
         return (1.0 - decay) / (1.0 + (theta[1] / theta[0]) * decay) - observed
 
     fit = damped_least_squares(
-        residual,
+        with_fd_jacobian(residual),
         np.array([0.01, 0.1]),
-        fd_jacobian(residual),
         bounds=[(1e-6, 1.0), (0.0, 5.0)],
         max_iter=200,
         tol=1e-14,
