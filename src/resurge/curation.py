@@ -35,7 +35,6 @@ __all__ = [
     "SongRecord",
     "SongOutcome",
     "CurationReport",
-    "indel_distance",
     "partial_ratio",
     "match_catalog",
     "curate",
@@ -177,11 +176,6 @@ def _similarity_bound(a: _MatchText, b: _MatchText) -> int:
     return _percent(_score(m, m, sum((a.counts & b.counts).values())))
 
 
-def indel_distance(a: str, b: str) -> int:
-    """Minimum number of single-character insertions and deletions from a to b."""
-    return len(a) + len(b) - 2 * _lcs_length(_char_masks(a), len(a), b)
-
-
 def partial_ratio(a: str, b: str) -> int:
     """Best local similarity of the shorter string against the longer, 0-100.
 
@@ -243,19 +237,6 @@ def match_catalog(
     return best_entry
 
 
-def _process_series(
-    record: SongRecord,
-    threshold_fraction: float,
-    basis: str,
-) -> tuple[TimeSeries, TimeSeries]:
-    """Stage-5 transform: daily grids, short-video peak window, alignment."""
-    short_video = interpolate_daily(record.short_video_series)
-    web_search = interpolate_daily(record.web_search_series)
-    window = peak_window(short_video, threshold_fraction, basis)
-    windowed = short_video.window_slice(window)
-    return align_pair(windowed, web_search)
-
-
 def curate(
     records: Sequence[SongRecord],
     catalog: Sequence[CatalogEntry],
@@ -282,67 +263,42 @@ def curate(
         seen.add(record.song_id)
     allowed = set(allowlist)
 
-    kept: list[SongRecord] = []
-    outcomes: list[SongOutcome] = []
-    survivors = [0] * (len(STAGE_NAMES) + 1)
-    survivors[0] = len(records)
-
-    for record in records:
+    def screen(record: SongRecord) -> tuple[int, str, SongRecord | None]:
+        """The stage a record reaches, the reason, and the processed record if kept."""
         if record.web_search_series is None:
-            outcomes.append(SongOutcome(record.song_id, 1, False, "no web-search series"))
-            continue
-
+            return 1, "no web-search series", None
         if record.song_id not in allowed:
             entry = match_catalog(record, catalog, match_threshold)
             if entry is None:
-                outcomes.append(SongOutcome(record.song_id, 2, False, "no catalog match"))
-                continue
+                return 2, "no catalog match", None
             if entry.release_kind != "single":
-                outcomes.append(
-                    SongOutcome(record.song_id, 3, False, f"release kind is {entry.release_kind}")
-                )
-                continue
+                return 3, f"release kind is {entry.release_kind}", None
             if entry.release_date > cutoff_date:
-                outcomes.append(
-                    SongOutcome(
-                        record.song_id,
-                        4,
-                        False,
-                        f"released {entry.release_date.isoformat()} after cutoff",
-                    )
-                )
-                continue
-
+                return 4, f"released {entry.release_date.isoformat()} after cutoff", None
+        # stage 5: daily grids, short-video peak window, alignment
         try:
-            short_video, web_search = _process_series(record, peak_threshold, peak_basis)
+            short_video = interpolate_daily(record.short_video_series)
+            web_search = interpolate_daily(record.web_search_series)
+            window = peak_window(short_video, peak_threshold, peak_basis)
+            short_video, web_search = align_pair(short_video.window_slice(window), web_search)
         except ValueError as exc:
-            outcomes.append(SongOutcome(record.song_id, 5, False, str(exc)))
-            continue
-
+            return 5, str(exc), None
         if len(short_video) < min_points:
-            outcomes.append(
-                SongOutcome(
-                    record.song_id,
-                    6,
-                    False,
-                    f"window has {len(short_video)} points, need {min_points}",
-                )
-            )
-            continue
+            return 6, f"window has {len(short_video)} points, need {min_points}", None
+        processed = replace(record, short_video_series=short_video, web_search_series=web_search)
+        return len(STAGE_NAMES), "kept", processed
 
-        kept.append(
-            replace(record, short_video_series=short_video, web_search_series=web_search)
-        )
-        outcomes.append(SongOutcome(record.song_id, len(STAGE_NAMES), True, "kept"))
+    kept: list[SongRecord] = []
+    outcomes: list[SongOutcome] = []
+    for record in records:
+        stage, reason, processed = screen(record)
+        outcomes.append(SongOutcome(record.song_id, stage, processed is not None, reason))
+        if processed is not None:
+            kept.append(processed)
 
-    for outcome in outcomes:
-        # a record dropped at stage k survived stages 1..k-1
-        last_survived = outcome.stage_reached if outcome.kept else outcome.stage_reached - 1
-        for stage in range(1, last_survived + 1):
-            survivors[stage] += 1
-
-    funnel = (("input", survivors[0]),) + tuple(
-        (name, survivors[i + 1]) for i, name in enumerate(STAGE_NAMES)
+    # a record dropped at stage s survived stages 1..s-1; a kept one survived all
+    funnel = (("input", len(records)),) + tuple(
+        (name, sum(o.kept or o.stage_reached > k for o in outcomes))
+        for k, name in enumerate(STAGE_NAMES, start=1)
     )
-    report = CurationReport(outcomes=tuple(outcomes), funnel=funnel)
-    return kept, report
+    return kept, CurationReport(outcomes=tuple(outcomes), funnel=funnel)

@@ -27,7 +27,6 @@ __all__ = [
     "GrangerResult",
     "GrangerItem",
     "GrangerBatch",
-    "build_lagged_design",
     "granger_test",
     "batch_granger",
 ]
@@ -51,9 +50,6 @@ class LagSpec:
 
     def __iter__(self):
         return iter(range(self.min_lag, self.max_lag + 1))
-
-    def __len__(self) -> int:
-        return self.max_lag - self.min_lag + 1
 
 
 @dataclass(frozen=True)
@@ -107,35 +103,23 @@ class GrangerBatch:
         )
 
 
-def _require_aligned(target: TimeSeries, source: TimeSeries) -> None:
-    if not np.array_equal(target.days, source.days):
-        raise ValueError("series are not aligned on the same dates")
-
-
-def build_lagged_design(
-    target: TimeSeries,
-    source: TimeSeries,
-    lag: int,
+def _lagged_design(
+    target: np.ndarray, source: np.ndarray, lag: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix and response for the lag-``lag`` autoregression.
 
+    ``target`` and ``source`` are the values of two aligned series longer than
+    ``lag``; the caller checks both.
     Columns: intercept, then target lags 1..lag, then source lags 1..lag; the
     leading 1 + lag columns are the restricted model.  Rows are the n - lag
     observations that have a full lag history.
     """
-    if lag < 1:
-        raise ValueError("lag must be at least 1")
-    _require_aligned(target, source)
     n = len(target)
-    if n - lag < 1:
-        raise ValueError(f"series too short for lag {lag}")
-    tv = target.values
-    y = tv[lag:]
     cols = [np.ones(n - lag)]
-    for values in (tv, source.values):
+    for values in (target, source):
         for ell in range(1, lag + 1):
             cols.append(values[lag - ell : n - ell])
-    return np.column_stack(cols), y
+    return np.column_stack(cols), target[lag:]
 
 
 def granger_test(
@@ -151,7 +135,8 @@ def granger_test(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    _require_aligned(target, source)
+    if not np.array_equal(target.days, source.days):
+        raise ValueError("series are not aligned on the same dates")
     n = len(target)
     if n < MIN_SERIES_LENGTH:
         raise ValueError(
@@ -167,7 +152,7 @@ def granger_test(
         df_den = n_eff - (2 * lag + 1)
         if df_den < 1:
             raise ValueError(f"series too short for lag {lag}")
-        design, y = build_lagged_design(target, source, lag)
+        design, y = _lagged_design(target.values, source.values, lag)
         fit = ols_fit(design, y)
         gain = float(fit.effects[1 + lag :] @ fit.effects[1 + lag :])
         if fit.ssr <= 0.0:

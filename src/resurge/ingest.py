@@ -8,6 +8,7 @@ produce the same bytes.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import io
@@ -57,6 +58,9 @@ _SERIES_HEADER = ["date", "value"]
 _CANONICAL_SERIES_HEADER = "date,value\n"
 _CANONICAL_SERIES_BODY_RE = re.compile(rf"(?:{_DATE},{_VALUE}\n)+")
 _CATALOG_HEADER = ["title", "artist", "release_date", "release_kind"]
+_MAX_SONG_ID_BYTES = 255 - len("__short_video.csv")
+# JSON can spell a lone surrogate ("\\ud800"), which no UTF-8 output can hold
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class ParseError(ValueError):
@@ -99,7 +103,8 @@ def _parse_date(text: str, path, lineno: int) -> int:
 
 def _read_text(path) -> str:
     """The whole file decoded as UTF-8; invalid bytes are a ParseError with their line."""
-    data = Path(path).read_bytes()
+    # drop one leading byte-order mark; it holds no line break, so no line number shifts
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -284,8 +289,17 @@ def load_manifest(path) -> DatasetManifest:
         # song ids name output files; a separator would escape curate_series/
         if "/" in song_id or "\\" in song_id:
             raise ParseError(path, None, f"{label} song_id {song_id!r} contains a path separator")
+        if "\x00" in song_id:
+            raise ParseError(path, None, f"{label} song_id {song_id!r} contains a null byte")
+        if _SURROGATE.search(song_id):
+            raise ParseError(path, None, f"{label} song_id {song_id!r} contains a lone surrogate")
+        # "<id>__short_video.csv" must fit the usual 255-byte file-name limit
+        if len(song_id.encode("utf-8")) > _MAX_SONG_ID_BYTES:
+            raise ParseError(path, None, f"{label} song_id is over {_MAX_SONG_ID_BYTES} UTF-8 bytes")
         if not isinstance(display_title, str) or not display_title.strip():
             raise ParseError(path, None, f"{label} ({song_id}) needs a non-empty display_title")
+        if _SURROGATE.search(display_title):
+            raise ParseError(path, None, f"{label} ({song_id}) display_title has a lone surrogate")
         if not isinstance(short_video, str) or not short_video:
             raise ParseError(path, None, f"{label} ({song_id}) needs a short_video path")
         if web_search is not None and not isinstance(web_search, str):

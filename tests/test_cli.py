@@ -131,6 +131,29 @@ def test_input_error_exits_one_before_creating_out_dir(capsys, tmp_path, demo_di
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("song_id", ["a\x00b", "x" * 250], ids=["null_byte", "too_long"])
+def test_song_id_that_names_no_file_leaves_out_dir_alone(capsys, tmp_path, demo_dir, song_id):
+    # an allowlisted copy of sr-004, which the demo run keeps
+    series = demo_dir / "series"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "format_version": 1,
+        "songs": [{"song_id": song_id, "display_title": "Kept by X",
+                   "short_video": str(series / "sr-004__short_video.csv"),
+                   "web_search": str(series / "sr-004__web_search.csv")}],
+    }))
+    allowlist = tmp_path / "allow.txt"
+    allowlist.write_text(song_id + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = main([
+        "pipeline", "--manifest", str(manifest), "--catalog", str(demo_dir / "catalog.csv"),
+        "--allowlist", str(allowlist), "--peak-basis", "peak", "--out-dir", str(out_dir),
+    ])
+    assert code == 1
+    assert "songs[0] song_id" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_out_dir_naming_a_file_exits_one(capsys, tmp_path, demo_dir):
     out_file = tmp_path / "taken"
     out_file.write_text("keep me\n")

@@ -14,7 +14,6 @@ from resurge.curation import (
     CatalogEntry,
     SongRecord,
     curate,
-    indel_distance,
     match_catalog,
     partial_ratio,
 )
@@ -27,21 +26,25 @@ text_strategy = st.text(
 ).filter(lambda s: s.strip())
 
 
-# --- indel distance -------------------------------------------------------------
+# --- LCS kernel -------------------------------------------------------------------
 
 
-def test_indel_examples():
-    assert indel_distance("abc", "abc") == 0
-    assert indel_distance("abc", "ab") == 1
-    assert indel_distance("abc", "axc") == 2  # delete b, insert x
-    assert indel_distance("", "xyz") == 3
-    assert indel_distance("kitten", "sitting") == 5
+def lcs(a, b):
+    return curation._lcs_length(curation._char_masks(a), len(a), b)
+
+
+def test_lcs_examples():
+    # indel distances 0, 1, 2, 3 and 5: len(a) + len(b) - 2 * LCS
+    examples = [("abc", "abc", 3), ("abc", "ab", 2), ("abc", "axc", 2), ("", "xyz", 0),
+                ("kitten", "sitting", 4)]
+    for a, b, expected in examples:
+        assert lcs(a, b) == oracles._lcs_len(a, b) == expected
 
 
 @given(text_strategy, text_strategy)
 @settings(max_examples=150, deadline=None)
-def test_indel_matches_lcs_identity(a, b):
-    assert indel_distance(a, b) == oracles.indel_distance_lcs(a, b)
+def test_lcs_matches_dp_oracle(a, b):
+    assert lcs(a, b) == oracles._lcs_len(a, b)
 
 
 # --- partial_ratio ----------------------------------------------------------------
@@ -114,7 +117,7 @@ def test_partial_ratio_kernel_edge_cases():
     # one 40-character window with LCS 13: indel 54 over 80.  1 - 54/80 rounds
     # to 32 in floating point, while the equal fraction 26/80 would give 33.
     needle, hay = "a" * 13 + "b" * 27, "a" * 13 + "c" * 27
-    assert indel_distance(needle, hay) == 54
+    assert lcs(needle, hay) == oracles._lcs_len(needle, hay) == 13
     assert int(26 / 80 * 100.0 + 0.5) == 33
     assert partial_ratio(needle, hay) == oracles.partial_ratio_windows(needle, hay) == 32
 

@@ -1,5 +1,6 @@
 """Parsing, serialization and round-trip tests."""
 
+import codecs
 import json
 
 import numpy as np
@@ -272,6 +273,22 @@ def test_parse_allowlist(tmp_path):
     assert parse_allowlist(path) == ["sr-001", "sr-007"]
 
 
+@pytest.mark.parametrize("reader, text", [
+    (parse_series_file, "date,value\n2021-01-01,1.0\n2021-01-02,2.5\n"),
+    (parse_catalog_file, "title,artist,release_date,release_kind\nT,A,2015-01-01,single\n"),
+    (parse_allowlist, "sr-004\nsr-007\n"),
+    (load_manifest, '{"format_version": 1, "songs": '
+                    '[{"song_id": "x", "display_title": "X by Y", "short_video": "a.csv"}]}'),
+], ids=["series", "catalog", "allowlist", "manifest"])
+def test_leading_bom_is_ignored(tmp_path, monkeypatch, reader, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    # the series text is canonical, so with or without the mark it takes the bulk path
+    monkeypatch.setattr(ingest, "_parse_series_lines", None)
+    assert reader(marked) == reader(plain)
+
+
 # --- manifests -------------------------------------------------------------------------
 
 
@@ -319,6 +336,24 @@ def test_manifest_validation(tmp_path):
         path.write_text(json.dumps(manifest_payload([song, bad])))
         with pytest.raises(ParseError, match=r"songs\[1\] song_id .* path separator"):
             load_manifest(path)
+
+    # nor may an id that no file name can hold
+    for song_id, message in (
+        ("a\x00b", "contains a null byte"),
+        ("\ud800", "contains a lone surrogate"),
+        ("x" * 250, "is over 238 UTF-8 bytes"),
+        ("\u00e9" * 120, "is over 238 UTF-8 bytes"),
+    ):
+        bad = dict(song, song_id=song_id)
+        path.write_text(json.dumps(manifest_payload([song, bad])))
+        with pytest.raises(ParseError, match=rf"songs\[1\] song_id .*{message}"):
+            load_manifest(path)
+    # 238 bytes leave "<id>__short_video.csv" at 255
+    path.write_text(json.dumps(manifest_payload([dict(song, song_id="\u00e9" * 119)])))
+    assert load_manifest(path).songs[0].song_id == "\u00e9" * 119
+    path.write_text(json.dumps(manifest_payload([dict(song, display_title="\udfff by Y")])))
+    with pytest.raises(ParseError, match=r"songs\[0\] \(x\) display_title has a lone surrogate"):
+        load_manifest(path)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
