@@ -125,129 +125,91 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
 
 
-def _write_report(config: RunConfig, name: str, rows: list[dict], fields: list[str]) -> None:
+def _write_report(config: RunConfig, name: str, rows: list[tuple], fields: tuple[str, ...]) -> None:
     ingest.write_report(rows, fields, config.out_dir / f"{name}.{config.format}", config.format)
 
 
-# --- report rows ------------------------------------------------------------
+# --- report rows: each report is its column names plus one value per column ---
 
-_CURATE_FIELDS = ["song_id", "stage_reached", "stage_name", "kept", "reason"]
-_GRANGER_FIELDS = [
+_CURATE_FIELDS = ("song_id", "stage_reached", "stage_name", "kept", "reason")
+_GRANGER_FIELDS = (
     "song_id", "lag", "f_stat", "df_num", "df_den", "ssr_restricted",
     "ssr_unrestricted", "p_value", "best_p", "causal", "alpha",
     "statistic", "intercept", "error",
-]
-_HISTOGRAM_FIELDS = ["bin_lo", "bin_hi", "count"]
-_BASS_FIELDS = [
+)
+_HISTOGRAM_FIELDS = ("bin_lo", "bin_hi", "count")
+_BASS_FIELDS = (
     "song_id", "platform", "p", "q", "peak_time", "residual_norm", "rmse",
     "rmse_within_max", "converged", "n_points", "error",
-]
-_SCATTER_FIELDS = [
+)
+_SCATTER_FIELDS = (
     "song_id", "p_short_video", "q_short_video", "p_web_search", "q_web_search",
-]
-_OVERLAY_FIELDS = ["song_id", "platform", "day", "observed_cum", "fitted_cum"]
-_CCDF_POINT_FIELDS = ["popularity", "fraction_above"]
-_CCDF_SUMMARY_FIELDS = ["n_songs", "min", "q1", "median", "q3", "max"]
+)
+_OVERLAY_FIELDS = ("song_id", "platform", "day", "observed_cum", "fitted_cum")
+_CCDF_POINT_FIELDS = ("popularity", "fraction_above")
+_CCDF_SUMMARY_FIELDS = ("n_songs", "min", "q1", "median", "q3", "max")
 
 
-def _curation_rows(report: curation.CurationReport) -> list[dict]:
-    rows = []
-    for outcome in report.outcomes:
-        stage_name = curation.STAGE_NAMES[outcome.stage_reached - 1]
-        rows.append(
-            {
-                "song_id": outcome.song_id,
-                "stage_reached": outcome.stage_reached,
-                "stage_name": stage_name,
-                "kept": outcome.kept,
-                "reason": outcome.reason,
-            }
-        )
-    return rows
+def _error_row(fields: tuple[str, ...], song_id: str, error: str) -> tuple:
+    """A failed song's row in a schema that starts with song_id and ends with error."""
+    return (song_id,) + (None,) * (len(fields) - 2) + (error,)
 
 
-def _granger_rows(batch: granger.GrangerBatch) -> list[dict]:
-    rows = []
-    for item in batch.items:
-        if item.result is None:
-            rows.append({"song_id": item.song_id, "error": item.error})
-            continue
-        res = item.result
-        for lag_result in res.per_lag:
-            rows.append(
-                {
-                    "song_id": item.song_id,
-                    "lag": lag_result.lag,
-                    "f_stat": lag_result.f_stat,
-                    "df_num": lag_result.df_num,
-                    "df_den": lag_result.df_den,
-                    "ssr_restricted": lag_result.ssr_restricted,
-                    "ssr_unrestricted": lag_result.ssr_unrestricted,
-                    "p_value": lag_result.p_value,
-                    "best_p": res.best_p,
-                    "causal": res.causal,
-                    "alpha": res.alpha,
-                    "statistic": "ssr_f",
-                    "intercept": True,
-                    "error": None,
-                }
-            )
-    return rows
-
-
-def _histogram_rows(batch: granger.GrangerBatch) -> list[dict]:
-    best = [it.result.best_p for it in batch.items if it.result is not None]
-    edges = np.linspace(0.0, 1.0, 11)
-    counts, _ = np.histogram(best, bins=edges)
+def _curation_rows(report: curation.CurationReport) -> list[tuple]:
     return [
-        {"bin_lo": float(edges[i]), "bin_hi": float(edges[i + 1]), "count": int(counts[i])}
-        for i in range(10)
+        (o.song_id, o.stage_reached, curation.STAGE_NAMES[o.stage_reached - 1], o.kept, o.reason)
+        for o in report.outcomes
     ]
 
 
-def _bass_rows(batch: bass_mod.BassBatch, config: RunConfig) -> list[dict]:
+def _granger_rows(batch: granger.GrangerBatch) -> list[tuple]:
     rows = []
     for item in batch.items:
-        if item.error is not None:
-            rows.append({"song_id": item.song_id, "error": item.error})
+        res = item.result
+        if res is None:
+            rows.append(_error_row(_GRANGER_FIELDS, item.song_id, item.error))
             continue
-        for platform, fit in (("short_video", item.short_video), ("web_search", item.web_search)):
-            rows.append(
-                {
-                    "song_id": item.song_id,
-                    "platform": platform,
-                    "p": fit.params.p,
-                    "q": fit.params.q,
-                    "peak_time": fit.params.peak_time,
-                    "residual_norm": fit.residual_norm,
-                    "rmse": fit.rmse,
-                    "rmse_within_max": fit.rmse <= config.bass_rmse_max,
-                    "converged": fit.converged,
-                    "n_points": fit.n_points,
-                    "error": None,
-                }
-            )
-    return rows
-
-
-def _scatter_rows(batch: bass_mod.BassBatch) -> list[dict]:
-    rows = []
-    for item in batch.items:
-        if item.error is not None:
-            continue
-        rows.append(
-            {
-                "song_id": item.song_id,
-                "p_short_video": item.short_video.params.p,
-                "q_short_video": item.short_video.params.q,
-                "p_web_search": item.web_search.params.p,
-                "q_web_search": item.web_search.params.q,
-            }
+        rows.extend(
+            (item.song_id, r.lag, r.f_stat, r.df_num, r.df_den, r.ssr_restricted,
+             r.ssr_unrestricted, r.p_value, res.best_p, res.causal, res.alpha,
+             "ssr_f", True, None)
+            for r in res.per_lag
         )
     return rows
 
 
-def _overlay_rows(batch: bass_mod.BassBatch, flagged: list[curation.SongRecord]) -> list[dict]:
+def _histogram_rows(batch: granger.GrangerBatch) -> list[tuple]:
+    best = [it.result.best_p for it in batch.items if it.result is not None]
+    edges = np.linspace(0.0, 1.0, 11)
+    counts, _ = np.histogram(best, bins=edges)
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
+
+
+def _bass_rows(batch: bass_mod.BassBatch, config: RunConfig) -> list[tuple]:
+    rows = []
+    for item in batch.items:
+        if item.error is not None:
+            rows.append(_error_row(_BASS_FIELDS, item.song_id, item.error))
+            continue
+        rows.extend(
+            (item.song_id, platform, fit.params.p, fit.params.q, fit.params.peak_time,
+             fit.residual_norm, fit.rmse, fit.rmse <= config.bass_rmse_max,
+             fit.converged, fit.n_points, None)
+            for platform, fit in (("short_video", item.short_video), ("web_search", item.web_search))
+        )
+    return rows
+
+
+def _scatter_rows(batch: bass_mod.BassBatch) -> list[tuple]:
+    return [
+        (item.song_id, item.short_video.params.p, item.short_video.params.q,
+         item.web_search.params.p, item.web_search.params.q)
+        for item in batch.items
+        if item.error is None
+    ]
+
+
+def _overlay_rows(batch: bass_mod.BassBatch, flagged: list[curation.SongRecord]) -> list[tuple]:
     rows = []
     # batch_bass keeps input order, so item i is the fit of flagged[i]
     for item, record in zip(batch.items, flagged):
@@ -258,40 +220,20 @@ def _overlay_rows(batch: bass_mod.BassBatch, flagged: list[curation.SongRecord])
             ("web_search", item.web_search, record.web_search_series),
         ):
             observed = series.cumulative_normalized(ts)
-            times = (ts.days - ts.days[0]).astype(np.float64)
-            fitted = bass_mod.bass_cumulative(fit.params, times)
-            for offset, obs, model in zip(times, observed.values, fitted):
-                rows.append(
-                    {
-                        "song_id": item.song_id,
-                        "platform": platform,
-                        "day": int(offset),
-                        "observed_cum": float(obs),
-                        "fitted_cum": float(model),
-                    }
-                )
+            offsets = ts.days - ts.days[0]
+            fitted = bass_mod.bass_cumulative(fit.params, offsets.astype(np.float64))
+            rows.extend(
+                (item.song_id, platform, day, obs, model)
+                for day, obs, model in zip(offsets.tolist(), observed.values.tolist(), fitted.tolist())
+            )
     return rows
 
 
-def _ccdf_rows(totals: list[float]) -> tuple[list[dict], list[dict]]:
-    points = series.ccdf(totals)
-    point_rows = [
-        {"popularity": pt.popularity, "fraction_above": pt.fraction_above}
-        for pt in points
-    ]
+def _ccdf_rows(totals: list[float]) -> tuple[list[tuple], list[tuple]]:
+    point_rows = [(pt.popularity, pt.fraction_above) for pt in series.ccdf(totals)]
     arr = np.asarray(totals, dtype=np.float64)
-    q1, median, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
-    summary = [
-        {
-            "n_songs": int(arr.size),
-            "min": float(arr.min()),
-            "q1": float(q1),
-            "median": float(median),
-            "q3": float(q3),
-            "max": float(arr.max()),
-        }
-    ]
-    return point_rows, summary
+    q1, median, q3 = np.quantile(arr, [0.25, 0.5, 0.75]).tolist()
+    return point_rows, [(arr.size, float(arr.min()), q1, median, q3, float(arr.max()))]
 
 
 # --- stages -----------------------------------------------------------------
@@ -399,10 +341,10 @@ def _write_ccdf(config: RunConfig, result: _Result) -> None:
     point_rows, summary_rows = _ccdf_rows(result.totals)
     _write_report(config, "ccdf_points", point_rows, _CCDF_POINT_FIELDS)
     _write_report(config, "ccdf_summary", summary_rows, _CCDF_SUMMARY_FIELDS)
-    s = summary_rows[0]
+    n_songs, low, q1, median, q3, high = summary_rows[0]
     print(
-        f"popularity over {s['n_songs']} songs: min {s['min']:.12g}, "
-        f"q1 {s['q1']:.12g}, median {s['median']:.12g}, q3 {s['q3']:.12g}, max {s['max']:.12g}"
+        f"popularity over {n_songs} songs: min {low:.12g}, "
+        f"q1 {q1:.12g}, median {median:.12g}, q3 {q3:.12g}, max {high:.12g}"
     )
 
 

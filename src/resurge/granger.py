@@ -142,9 +142,9 @@ def granger_test(
         raise ValueError(
             f"series too short for causality test (need >= {MIN_SERIES_LENGTH} points)"
         )
-    for s in (source, target):
+    for role, s in (("source", source), ("target", target)):
         if s.values.max() == s.values.min():
-            raise ValueError("degenerate (constant) series")
+            raise ValueError(f"degenerate (constant) {role} series")
 
     per_lag = []
     for lag in lags:

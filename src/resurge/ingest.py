@@ -372,18 +372,8 @@ def load_dataset(manifest_path) -> list[SongRecord]:
     return records
 
 
-def _format_sig12(value: float) -> str:
-    return format(value, ".12g")
-
-
 def _jsonl_value(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (np.floating, float)):
-        return float(_format_sig12(float(value)))
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
+    return float(format(value, ".12g")) if isinstance(value, float) else value
 
 
 def _csv_value(value) -> str:
@@ -391,31 +381,34 @@ def _csv_value(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (np.floating, float)):
-        return _format_sig12(float(value))
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".12g")
     return str(value)
 
 
-def write_report(rows: Sequence[dict], fieldnames: Sequence[str], path, format: str) -> None:
-    """Write rows as JSON Lines or CSV with a fixed column order.
+def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format: str) -> None:
+    """Write rows as JSON Lines or CSV; each row holds one value per column, in order.
 
     Floats are emitted with 12 significant digits in both formats, so
-    repeated runs over the same data are byte-identical.
+    repeated runs over the same data are byte-identical.  A row of the wrong
+    length is a ``ValueError``, raised before the file is opened.
     """
     if format not in ("jsonl", "csv"):
         raise ValueError("format must be 'jsonl' or 'csv'")
+    for index, row in enumerate(rows):
+        if len(row) != len(fieldnames):
+            raise ValueError(
+                f"report row {index} has {len(row)} values for {len(fieldnames)} columns"
+            )
     path = Path(path)
     if format == "jsonl":
-        lines = []
-        for row in rows:
-            payload = {name: _jsonl_value(row.get(name)) for name in fieldnames}
-            lines.append(json.dumps(payload, ensure_ascii=False))
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        text = "".join(
+            json.dumps(dict(zip(fieldnames, map(_jsonl_value, row))), ensure_ascii=False) + "\n"
+            for row in rows
+        )
+        path.write_text(text, encoding="utf-8")
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(fieldnames)
-            for row in rows:
-                writer.writerow([_csv_value(row.get(name)) for name in fieldnames])
+            writer.writerows(map(_csv_value, row) for row in rows)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from oracles import read_report
-from resurge.cli import RunConfig, main
+from resurge.cli import _GRANGER_FIELDS, RunConfig, main
 
 # outputs of `python -m resurge {pipeline,ccdf} --manifest data/demo/manifest.json
 # --catalog data/demo/catalog.csv --allowlist data/demo/allowlist.txt
@@ -332,6 +332,64 @@ def test_pipeline_csv_variant(tmp_path, demo_dir):
     assert len(read_report(out_dir / "curate_report.csv", "csv")) == 10
     # series exports keep their own format regardless of --format
     assert (out_dir / "curate_manifest.json").is_file()
+
+
+def csv_cell(value):
+    """A JSONL value as the CSV writer spells it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def test_csv_and_jsonl_reports_agree_cell_for_cell(tmp_path, demo_dir):
+    for fmt in ("jsonl", "csv"):
+        for command in ("pipeline", "ccdf"):
+            assert main([command] + demo_args(demo_dir, tmp_path / fmt / command, fmt)) == 0
+    reports = sorted(p.relative_to(tmp_path / "jsonl") for p in (tmp_path / "jsonl").rglob("*.jsonl"))
+    assert len(reports) == 8
+    for name in reports:
+        jsonl_rows = read_report(tmp_path / "jsonl" / name, "jsonl")
+        csv_rows = read_report(tmp_path / "csv" / name.with_suffix(".csv"), "csv")
+        assert len(csv_rows) == len(jsonl_rows) > 0, name
+        for csv_row, jsonl_row in zip(csv_rows, jsonl_rows):
+            assert list(csv_row) == list(jsonl_row), name
+            assert csv_row == {k: csv_cell(v) for k, v in jsonl_row.items()}, name
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_failed_song_row_holds_only_id_and_error(capsys, tmp_path, demo_dir, fmt):
+    # an allowlisted copy of sr-004 whose web-search series is constant
+    series = demo_dir / "series"
+    days = [line.split(",")[0]
+            for line in (series / "sr-004__web_search.csv").read_text().splitlines()[1:]]
+    (tmp_path / "flat.csv").write_text("date,value\n" + "".join(f"{d},5.0\n" for d in days))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "format_version": 1,
+        "songs": [{"song_id": "flat", "display_title": "Flat by X",
+                   "short_video": str(series / "sr-004__short_video.csv"),
+                   "web_search": "flat.csv"}],
+    }))
+    allowlist = tmp_path / "allow.txt"
+    allowlist.write_text("flat\n")
+    out_dir = tmp_path / "out"
+    assert main([
+        "granger", "--manifest", str(manifest), "--catalog", str(demo_dir / "catalog.csv"),
+        "--allowlist", str(allowlist), "--peak-basis", "peak", "--out-dir", str(out_dir),
+        "--format", fmt,
+    ]) == 0
+    assert "0 of 0 tested songs flagged at alpha=0.1 (1 failed)" in capsys.readouterr().out
+
+    [row] = read_report(out_dir / f"granger_report.{fmt}", fmt)
+    assert list(row) == list(_GRANGER_FIELDS)
+    assert row["song_id"] == "flat"
+    assert row["error"] == "degenerate (constant) target series"
+    blank = None if fmt == "jsonl" else ""
+    assert [row[name] for name in _GRANGER_FIELDS[1:-1]] == [blank] * (len(_GRANGER_FIELDS) - 2)
 
 
 def test_pipeline_on_empty_dataset(tmp_path):

@@ -428,8 +428,8 @@ def test_load_dataset_errors_name_the_song(tmp_path):
 
 
 SAMPLE_ROWS = [
-    {"song_id": "a", "p_value": 0.123456789012345, "causal": True, "note": None},
-    {"song_id": "b", "p_value": 3.5e-12, "causal": False, "note": "x"},
+    ("a", 0.123456789012345, True, None),
+    ("b", 3.5e-12, False, "x"),
 ]
 SAMPLE_FIELDS = ["song_id", "p_value", "causal", "note"]
 
@@ -476,5 +476,16 @@ def test_report_writing_is_idempotent(tmp_path):
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
     write_report(SAMPLE_ROWS, SAMPLE_FIELDS, first, "jsonl")
-    write_report(read_report(first, "jsonl"), SAMPLE_FIELDS, second, "jsonl")
+    rows = [tuple(r.values()) for r in read_report(first, "jsonl")]
+    write_report(rows, SAMPLE_FIELDS, second, "jsonl")
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("bad_row", [("c", 0.5, True), ("c", 0.5, True, None, "extra")],
+                         ids=["short", "long"])
+def test_write_report_rejects_mis_shaped_row(tmp_path, fmt, bad_row):
+    path = tmp_path / f"r.{fmt}"
+    with pytest.raises(ValueError, match=f"report row 2 has {len(bad_row)} values for 4 columns"):
+        write_report(SAMPLE_ROWS + [bad_row], SAMPLE_FIELDS, path, fmt)
+    assert not path.exists()
