@@ -163,28 +163,8 @@ def main() -> int:
     # --- write files --------------------------------------------------------
     if OUT.exists():
         shutil.rmtree(OUT)
-    (OUT / "series").mkdir(parents=True)
-
-    entries = []
-    for song_id in sorted(sv):
-        sv_name = f"series/{song_id}__short_video.csv"
-        ingest.write_series_file(sv[song_id], OUT / sv_name)
-        ws_name = None
-        if ws[song_id] is not None:
-            ws_name = f"series/{song_id}__web_search.csv"
-            ingest.write_series_file(ws[song_id], OUT / ws_name)
-        entries.append(
-            ingest.ManifestEntry(
-                song_id=song_id,
-                display_title=titles[song_id],
-                short_video=sv_name,
-                web_search=ws_name,
-            )
-        )
-    ingest.write_manifest(
-        ingest.DatasetManifest(format_version=1, songs=tuple(entries)),
-        OUT / "manifest.json",
-    )
+    songs = [curation.SongRecord(song_id, titles[song_id], sv[song_id], ws[song_id]) for song_id in sorted(sv)]
+    ingest.write_dataset(songs, OUT / "manifest.json", "series")
 
     catalog_lines = ["title,artist,release_date,release_kind"]
     catalog_lines += [",".join(f'"{field}"' if "," in field else field for field in row) for row in catalog_rows]

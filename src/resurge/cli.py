@@ -1,14 +1,14 @@
 """Command-line pipeline: curate, granger, bass, ccdf, pipeline.
 
 The analysis runs in stages of fixed order: curate, then granger, then bass;
-ccdf stands apart and reads only the manifest.  Each command names the
-stages whose files it writes (``_COMMANDS``).  A run first computes in
-memory every stage up to the last of those (``_run``), re-running the
-earlier ones from the same inputs, and writes nothing until all of them have
-succeeded; an input error therefore exits 1 and leaves --out-dir alone.
-Then one writer per stage writes that stage's files and prints its summary.
-So ``pipeline`` writes the same bytes, and prints the same lines, as
-``curate``, ``granger`` and ``bass`` run one after another.
+ccdf stands apart, needs only --manifest and sums the short-video series.
+Each command names the stages whose files it writes (``_COMMANDS``).  A run
+first computes in memory every stage up to the last of those (``_run``),
+re-running the earlier ones from the same inputs, and writes nothing until
+all of them have succeeded; an input error therefore exits 1 and leaves
+--out-dir alone.  Then one writer per stage writes that stage's files and
+prints its summary.  So ``pipeline`` writes the same bytes, and prints the
+same lines, as ``curate``, ``granger`` and ``bass`` run one after another.
 
 Every output file is ``<stage>_<schema>.<ext>`` inside --out-dir.
 """
@@ -28,8 +28,6 @@ from . import bass as bass_mod
 from . import curation, granger, ingest, series
 
 __all__ = ["RunConfig", "main"]
-
-_FORMATS = ("jsonl", "csv")
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ class RunConfig:
             raise ValueError("--min-points must be at least 1")
         if not 0.0 < self.peak_threshold < 1.0:
             raise ValueError("--peak-threshold must lie in (0, 1)")
-        if self.peak_basis not in ("total", "peak"):
+        if self.peak_basis not in series.PEAK_BASES:
             raise ValueError("--peak-basis must be 'total' or 'peak'")
         if not 1 <= self.lag_min <= self.lag_max:
             raise ValueError("--lag-min/--lag-max must satisfy 1 <= min <= max")
@@ -63,7 +61,7 @@ class RunConfig:
             raise ValueError("--alpha must lie in (0, 1)")
         if not self.bass_rmse_max > 0.0:
             raise ValueError("--bass-rmse-max must be positive")
-        if self.format not in _FORMATS:
+        if self.format not in ingest.REPORT_FORMATS:
             raise ValueError("--format must be 'jsonl' or 'csv'")
 
     @property
@@ -96,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="minimum points in the processed window, default %(default)s")
     common.add_argument("--peak-threshold", type=float,
                         help="peak-window threshold fraction, default %(default)s")
-    common.add_argument("--peak-basis", choices=("total", "peak"),
+    common.add_argument("--peak-basis", choices=series.PEAK_BASES,
                         help="whether the threshold fraction applies to the series total or the peak value")
     common.add_argument("--lag-min", type=int, help="smallest lag to sweep, default %(default)s")
     common.add_argument("--lag-max", type=int, help="largest lag to sweep, default %(default)s")
@@ -105,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--bass-rmse-max", type=float,
                         help="rmse ceiling a diffusion fit must meet to be flagged acceptable, default %(default)s")
     common.add_argument("--out-dir", type=Path, help="output directory, default %(default)s")
-    common.add_argument("--format", choices=_FORMATS, help="report format, default %(default)s")
+    common.add_argument("--format", choices=ingest.REPORT_FORMATS, help="report format, default %(default)s")
     # after the arguments exist, so that %(default)s shows these values
     common.set_defaults(**dataclasses.asdict(RunConfig()))
 
@@ -298,19 +296,7 @@ def _run(config: RunConfig, through: str) -> _Result:
 
 def _write_curate(config: RunConfig, result: _Result) -> None:
     _write_report(config, "curate_report", _curation_rows(result.report), _CURATE_FIELDS)
-    series_dir = config.out_dir / "curate_series"
-    series_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for record in result.kept:
-        sv_name = f"curate_series/{record.song_id}__short_video.csv"
-        ws_name = f"curate_series/{record.song_id}__web_search.csv"
-        ingest.write_series_file(record.short_video_series, config.out_dir / sv_name)
-        ingest.write_series_file(record.web_search_series, config.out_dir / ws_name)
-        entries.append(ingest.ManifestEntry(record.song_id, record.display_title, sv_name, ws_name))
-    ingest.write_manifest(
-        ingest.DatasetManifest(format_version=ingest.MANIFEST_FORMAT_VERSION, songs=tuple(entries)),
-        config.out_dir / "curate_manifest.json",
-    )
+    ingest.write_dataset(result.kept, config.out_dir / "curate_manifest.json", "curate_series")
     for name, count in result.report.funnel:
         print(f"{name}: {count}")
     print(f"kept {len(result.kept)} songs")

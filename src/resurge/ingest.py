@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import dataclasses
 import datetime as dt
 import io
 import json
@@ -26,6 +27,7 @@ from .series import TimeSeries
 
 __all__ = [
     "MANIFEST_FORMAT_VERSION",
+    "REPORT_FORMATS",
     "ParseError",
     "parse_iso_date",
     "ManifestEntry",
@@ -37,10 +39,12 @@ __all__ = [
     "load_manifest",
     "write_manifest",
     "load_dataset",
+    "write_dataset",
     "write_report",
 ]
 
 MANIFEST_FORMAT_VERSION = 1
+REPORT_FORMATS = ("jsonl", "csv")
 
 # non-negative ASCII decimal, optional exponent; covers repr() of any
 # non-negative finite float, rejects signs, inf/nan, underscores, hex forms and
@@ -58,7 +62,10 @@ _SERIES_HEADER = ["date", "value"]
 _CANONICAL_SERIES_HEADER = "date,value\n"
 _CANONICAL_SERIES_BODY_RE = re.compile(rf"(?:{_DATE},{_VALUE}\n)+")
 _CATALOG_HEADER = ["title", "artist", "release_date", "release_kind"]
-_MAX_SONG_ID_BYTES = 255 - len("__short_video.csv")
+# write_dataset's file name for one song's series on one platform
+_SERIES_FILE = "{song_id}__{platform}.csv"
+# the longest such name must fit the usual 255-byte file-name limit
+_MAX_SONG_ID_BYTES = 255 - len(_SERIES_FILE.format(song_id="", platform="short_video"))
 # JSON can spell a lone surrogate ("\\ud800"), which no UTF-8 output can hold
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -293,7 +300,6 @@ def load_manifest(path) -> DatasetManifest:
             raise ParseError(path, None, f"{label} song_id {song_id!r} contains a null byte")
         if _SURROGATE.search(song_id):
             raise ParseError(path, None, f"{label} song_id {song_id!r} contains a lone surrogate")
-        # "<id>__short_video.csv" must fit the usual 255-byte file-name limit
         if len(song_id.encode("utf-8")) > _MAX_SONG_ID_BYTES:
             raise ParseError(path, None, f"{label} song_id is over {_MAX_SONG_ID_BYTES} UTF-8 bytes")
         if not isinstance(display_title, str) or not display_title.strip():
@@ -319,20 +325,10 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
-    payload = {
-        "format_version": manifest.format_version,
-        "songs": [
-            {
-                "song_id": e.song_id,
-                "display_title": e.display_title,
-                "short_video": e.short_video,
-                "web_search": e.web_search,
-            }
-            for e in manifest.songs
-        ],
-    }
+    # the dataclass fields name the JSON keys, in field order
     Path(path).write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+        json.dumps(dataclasses.asdict(manifest), indent=2, ensure_ascii=False) + "\n",
+        encoding="utf-8",
     )
 
 
@@ -372,6 +368,35 @@ def load_dataset(manifest_path) -> list[SongRecord]:
     return records
 
 
+def write_dataset(records: Sequence[SongRecord], manifest_path, series_dir: str) -> None:
+    """Inverse of :func:`load_dataset`: write the series files, then the manifest.
+
+    Each series goes to a file named after its song id and platform inside
+    *series_dir*, which is relative to the manifest's directory and created
+    if absent.  A null web-search series gets no file and a null path.
+    """
+    directory = Path(manifest_path).parent
+    (directory / series_dir).mkdir(parents=True, exist_ok=True)
+
+    def write(song_id: str, platform: str, ts: TimeSeries | None) -> str | None:
+        if ts is None:
+            return None
+        relative = f"{series_dir}/" + _SERIES_FILE.format(song_id=song_id, platform=platform)
+        write_series_file(ts, directory / relative)
+        return relative
+
+    entries = tuple(
+        ManifestEntry(
+            r.song_id,
+            r.display_title,
+            short_video=write(r.song_id, "short_video", r.short_video_series),
+            web_search=write(r.song_id, "web_search", r.web_search_series),
+        )
+        for r in records
+    )
+    write_manifest(DatasetManifest(MANIFEST_FORMAT_VERSION, entries), manifest_path)
+
+
 def _jsonl_value(value):
     return float(format(value, ".12g")) if isinstance(value, float) else value
 
@@ -390,12 +415,19 @@ def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format:
     """Write rows as JSON Lines or CSV; each row holds one value per column, in order.
 
     Floats are emitted with 12 significant digits in both formats, so
-    repeated runs over the same data are byte-identical.  A row of the wrong
-    length is a ``ValueError``, raised before the file is opened.
+    repeated runs over the same data are byte-identical.  *rows* must be a
+    list or tuple of tuples, else ``TypeError``; a row of the wrong length is
+    a ``ValueError``.  Both are raised before the file is opened.
     """
-    if format not in ("jsonl", "csv"):
+    if format not in REPORT_FORMATS:
         raise ValueError("format must be 'jsonl' or 'csv'")
+    # a generator would be used up here, and a dict or str row would be
+    # iterated as its keys or characters
+    if not isinstance(rows, (list, tuple)):
+        raise TypeError(f"report rows must be a list or tuple, not {type(rows).__name__}")
     for index, row in enumerate(rows):
+        if not isinstance(row, tuple):
+            raise TypeError(f"report row {index} is a {type(row).__name__}, not a tuple")
         if len(row) != len(fieldnames):
             raise ValueError(
                 f"report row {index} has {len(row)} values for {len(fieldnames)} columns"

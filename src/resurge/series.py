@@ -8,11 +8,12 @@ live in :mod:`resurge.ingest` so everything here stays arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
 __all__ = [
+    "PEAK_BASES",
     "TimeSeries",
     "Window",
     "CcdfPoint",
@@ -24,14 +25,16 @@ __all__ = [
 ]
 
 PeakBasis = Literal["total", "peak"]
+PEAK_BASES: tuple[str, ...] = get_args(PeakBasis)
 
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Ordered (day, value) samples with strictly increasing days.
 
-    Values are finite and non-negative.  Both arrays are copied and made
-    read-only on construction, so instances can be shared freely.
+    Values are finite and non-negative; ``-0.0`` is stored as ``0.0``.  Both
+    arrays are copied and made read-only on construction, so instances can be
+    shared freely.
     """
 
     days: np.ndarray
@@ -50,6 +53,9 @@ class TimeSeries:
             raise ValueError("values must be finite")
         if values.size and values.min() < 0.0:
             raise ValueError("values must be non-negative")
+        # -0.0 + 0.0 is 0.0 and x + 0.0 is x for every other x, bit for bit;
+        # the series file grammar has no sign, so -0.0 could not be written back
+        values += 0.0
         days.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "days", days)
@@ -155,7 +161,7 @@ def peak_window(
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError("threshold_fraction must lie in (0, 1)")
-    if basis not in ("total", "peak"):
+    if basis not in PEAK_BASES:
         raise ValueError("basis must be 'total' or 'peak'")
     values = series.values
     if values.max() == 0.0:

@@ -3,11 +3,16 @@
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import resurge
 from oracles import read_report
+from resurge import curation, ingest
 from resurge.cli import _GRANGER_FIELDS, RunConfig, main
 
 # outputs of `python -m resurge {pipeline,ccdf} --manifest data/demo/manifest.json
@@ -183,6 +188,15 @@ def test_curate_on_demo(capsys, tmp_path, demo_dir):
         assert (tmp_path / song["short_video"]).is_file()
         assert (tmp_path / song["web_search"]).is_file()
 
+    # the curated set is itself a dataset: it loads back as the records curate kept
+    kept_records, _ = curation.curate(
+        ingest.load_dataset(demo_dir / "manifest.json"),
+        ingest.parse_catalog_file(demo_dir / "catalog.csv"),
+        allowlist=ingest.parse_allowlist(demo_dir / "allowlist.txt"),
+        peak_basis="peak",
+    )
+    assert ingest.load_dataset(tmp_path / "curate_manifest.json") == kept_records
+
 
 def test_granger_on_demo(capsys, tmp_path, demo_dir):
     assert main(["granger"] + demo_args(demo_dir, tmp_path)) == 0
@@ -301,6 +315,22 @@ def test_pipeline_equals_staged_runs(capsys, tmp_path, demo_dir):
     assert main(["pipeline"] + demo_args(demo_dir, piped)) == 0
     assert capsys.readouterr().out == staged_stdout
     assert compare_trees(staged, piped) == []
+
+
+@pytest.mark.parametrize("command", ["pipeline", "ccdf"])
+def test_python_dash_m_matches_in_process_main(capsys, tmp_path, demo_dir, command):
+    assert main([command] + demo_args(demo_dir, tmp_path / "in_process")) == 0
+    in_process_stdout = capsys.readouterr().out
+    # the package directory's parent, so the child imports this same resurge
+    src = str(Path(resurge.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "resurge", command] + demo_args(demo_dir, tmp_path / "module"),
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == in_process_stdout
+    assert compare_trees(tmp_path / "in_process", tmp_path / "module") == []
 
 
 def same_jsonl_value(actual, expected):

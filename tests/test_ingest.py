@@ -5,11 +5,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import read_report
 from resurge import ingest
+from resurge.curation import SongRecord
 from resurge.ingest import (
     MANIFEST_FORMAT_VERSION,
     DatasetManifest,
@@ -20,6 +21,7 @@ from resurge.ingest import (
     parse_allowlist,
     parse_catalog_file,
     parse_series_file,
+    write_dataset,
     write_manifest,
     write_report,
     write_series_file,
@@ -170,6 +172,7 @@ def test_parse_accepts_plain_decimal_forms(tmp_path):
     ),
     st.integers(730000, 738000),
 )
+@example(values=[-0.0, 1.0], start_day=730000)
 @settings(max_examples=60, deadline=None)
 def test_series_round_trip_bit_exact(tmp_path_factory, values, start_day):
     series = TimeSeries(
@@ -424,6 +427,51 @@ def test_load_dataset_errors_name_the_song(tmp_path):
         load_dataset(manifest_path)
 
 
+# song ids as load_manifest accepts them: no path separator, NUL or lone
+# surrogate, not blank, at most 238 UTF-8 bytes
+_ID_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="/\\\x00")
+_song_ids = (
+    st.text(_ID_CHARS, min_size=1, max_size=238)
+    .map(lambda text: text.encode("utf-8")[:238].decode("utf-8", "ignore"))
+    .filter(str.strip)
+)
+_titles = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=40).filter(str.strip)
+
+
+@st.composite
+def _series(draw):
+    values = draw(st.lists(st.floats(0.0, allow_infinity=False), min_size=1, max_size=12))
+    gaps = draw(st.lists(st.integers(1, 40), min_size=len(values) - 1, max_size=len(values) - 1))
+    # year 1 to 9999, the years a YYYY-MM-DD date can spell
+    start = draw(st.integers(1, 3_652_059 - 40 * len(gaps)))
+    return TimeSeries(days=np.cumsum([start] + gaps), values=values)
+
+
+_records = st.lists(
+    st.builds(SongRecord, _song_ids, _titles, _series(), st.none() | _series()),
+    max_size=4,
+    unique_by=lambda record: record.song_id,
+)
+_EDGE_RECORDS = [
+    SongRecord("x" * 238, "Max by Len", TimeSeries(days=[1, 2], values=[-0.0, 5e-324]), None),
+    SongRecord("\u00e9" * 119, "Caf\u00e9 \U0001f3b5 by \u00c5se",
+               TimeSeries(days=[738000], values=[1.7976931348623157e308]),
+               TimeSeries(days=[3_652_059], values=[0.1])),
+]
+
+
+@given(_records)
+@example(_EDGE_RECORDS)
+@settings(max_examples=40, deadline=None)
+def test_write_dataset_round_trip(tmp_path_factory, records):
+    manifest_path = tmp_path_factory.mktemp("dataset") / "manifest.json"
+    write_dataset(records, manifest_path, "series")
+    assert load_dataset(manifest_path) == records
+    # a null web-search series gets no file
+    written = list((manifest_path.parent / "series").iterdir())
+    assert len(written) == sum(1 + (r.web_search_series is not None) for r in records)
+
+
 # --- reports ---------------------------------------------------------------------------
 
 
@@ -488,4 +536,18 @@ def test_write_report_rejects_mis_shaped_row(tmp_path, fmt, bad_row):
     path = tmp_path / f"r.{fmt}"
     with pytest.raises(ValueError, match=f"report row 2 has {len(bad_row)} values for 4 columns"):
         write_report(SAMPLE_ROWS + [bad_row], SAMPLE_FIELDS, path, fmt)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("make_rows, message", [
+    # each of these has the right length, so only the type check stops it
+    (lambda: [dict(zip(SAMPLE_FIELDS, SAMPLE_ROWS[0]))], "report row 0 is a dict, not a tuple"),
+    (lambda: SAMPLE_ROWS + ["abcd"], "report row 2 is a str, not a tuple"),
+    (lambda: (row for row in SAMPLE_ROWS), "report rows must be a list or tuple, not generator"),
+], ids=["dict_row", "str_row", "generator"])
+def test_write_report_rejects_rows_that_are_not_tuples(tmp_path, fmt, make_rows, message):
+    path = tmp_path / f"r.{fmt}"
+    with pytest.raises(TypeError, match=message):
+        write_report(make_rows(), SAMPLE_FIELDS, path, fmt)
     assert not path.exists()

@@ -59,6 +59,15 @@ def test_values_must_be_finite_nonnegative():
         ts([np.inf])
 
 
+def test_negative_zero_is_stored_as_zero():
+    tiny, huge = 5e-324, np.finfo(np.float64).max
+    values = np.array([-0.0, 0.0, tiny, 0.1, huge])
+    stored = ts(values).values
+    assert not np.signbit(stored).any()
+    assert stored[1:].tobytes() == values[1:].tobytes()
+    assert values[0] == -0.0 and np.signbit(values[0])  # the caller's array is left alone
+
+
 def test_empty_series_rejected():
     with pytest.raises(ValueError):
         TimeSeries(days=np.array([], dtype=int), values=np.array([]))
