@@ -68,6 +68,17 @@ _SERIES_FILE = "{song_id}__{platform}.csv"
 _MAX_SONG_ID_BYTES = 255 - len(_SERIES_FILE.format(song_id="", platform="short_video"))
 # JSON can spell a lone surrogate ("\\ud800"), which no UTF-8 output can hold
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# report rows encoded and written together
+_CHUNK_ROWS = 1024
+# the types a report cell may have; bool is an int
+_CELL_TYPES = (str, int, float, type(None))
+# one encoder for every report value; json.dumps builds a new one per call
+_JSON = json.JSONEncoder(ensure_ascii=False).encode
+_CSV_QUOTED = re.compile('[,"\r\n]')
+_CONSTANTS = {
+    "jsonl": {None: "null", False: "false", True: "true"},
+    "csv": {None: "", False: "false", True: "true"},
+}
 
 
 class ParseError(ValueError):
@@ -262,6 +273,22 @@ def parse_allowlist(path) -> list[str]:
     return [line for _, line in _content_lines(_read_text(path)) if not line.startswith("#")]
 
 
+def _song_id_problem(song_id) -> str | None:
+    """Why *song_id* cannot name a song's series files, or None if it can."""
+    if not isinstance(song_id, str) or not song_id.strip():
+        return "needs a non-empty song_id"
+    # song ids name series files; a separator would escape their directory
+    if "/" in song_id or "\\" in song_id:
+        return f"song_id {song_id!r} contains a path separator"
+    if "\x00" in song_id:
+        return f"song_id {song_id!r} contains a null byte"
+    if _SURROGATE.search(song_id):
+        return f"song_id {song_id!r} contains a lone surrogate"
+    if len(song_id.encode("utf-8")) > _MAX_SONG_ID_BYTES:
+        return f"song_id is over {_MAX_SONG_ID_BYTES} UTF-8 bytes"
+    return None
+
+
 def load_manifest(path) -> DatasetManifest:
     # newline=None turns "\r\n" and "\r" into "\n", as reading in text mode
     # does, so JSON error line numbers count every kind of line break
@@ -291,17 +318,9 @@ def load_manifest(path) -> DatasetManifest:
         display_title = item.get("display_title")
         short_video = item.get("short_video")
         web_search = item.get("web_search")
-        if not isinstance(song_id, str) or not song_id.strip():
-            raise ParseError(path, None, f"{label} needs a non-empty song_id")
-        # song ids name output files; a separator would escape curate_series/
-        if "/" in song_id or "\\" in song_id:
-            raise ParseError(path, None, f"{label} song_id {song_id!r} contains a path separator")
-        if "\x00" in song_id:
-            raise ParseError(path, None, f"{label} song_id {song_id!r} contains a null byte")
-        if _SURROGATE.search(song_id):
-            raise ParseError(path, None, f"{label} song_id {song_id!r} contains a lone surrogate")
-        if len(song_id.encode("utf-8")) > _MAX_SONG_ID_BYTES:
-            raise ParseError(path, None, f"{label} song_id is over {_MAX_SONG_ID_BYTES} UTF-8 bytes")
+        problem = _song_id_problem(song_id)
+        if problem is not None:
+            raise ParseError(path, None, f"{label} {problem}")
         if not isinstance(display_title, str) or not display_title.strip():
             raise ParseError(path, None, f"{label} ({song_id}) needs a non-empty display_title")
         if _SURROGATE.search(display_title):
@@ -373,8 +392,14 @@ def write_dataset(records: Sequence[SongRecord], manifest_path, series_dir: str)
 
     Each series goes to a file named after its song id and platform inside
     *series_dir*, which is relative to the manifest's directory and created
-    if absent.  A null web-search series gets no file and a null path.
+    if absent.  A null web-search series gets no file and a null path.  A
+    song id that :func:`load_manifest` would reject is a ``ValueError``,
+    raised before anything is written.
     """
+    for index, record in enumerate(records):
+        problem = _song_id_problem(record.song_id)
+        if problem is not None:
+            raise ValueError(f"records[{index}] {problem}")
     directory = Path(manifest_path).parent
     (directory / series_dir).mkdir(parents=True, exist_ok=True)
 
@@ -411,13 +436,54 @@ def _csv_value(value) -> str:
     return str(value)
 
 
+def _csv_cell(text: str) -> str:
+    """*text* as a CSV cell: quoted, its quotes doubled, when it holds , " \\r or \\n."""
+    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
+
+
+def _jsonl_float(text: str) -> str:
+    """The float that ``.12g`` *text* spells, as ``json`` writes it."""
+    value = float(text)
+    # json writes a finite float as its repr, and nan and inf as NaN and Infinity
+    return float.__repr__(value) if math.isfinite(value) else _JSON(value)
+
+
+def _encode_column(column: tuple, types: set, format: str) -> Iterable[str]:
+    """The text of each cell of a report column whose cells have these types."""
+    if types == {float}:
+        texts = map("%.12g".__mod__, column)
+        if format == "csv":
+            return texts
+        # with a point and no exponent, 12 digits are already the shortest repr
+        # of their float
+        return [text if "." in text and "e" not in text else _jsonl_float(text) for text in texts]
+    if types == {int}:
+        return map(int.__repr__, column)
+    if types == {str}:
+        encode = _JSON if format == "jsonl" else _csv_cell
+        encoded = {text: encode(text) for text in set(column)}
+        return map(encoded.__getitem__, column)
+    if types <= {bool, type(None)}:
+        return map(_CONSTANTS[format].__getitem__, column)
+    # mixed columns (a failed song's row) go cell by cell
+    if format == "jsonl":
+        return [_JSON(_jsonl_value(cell)) for cell in column]
+    return [_csv_cell(_csv_value(cell)) for cell in column]
+
+
 def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format: str) -> None:
     """Write rows as JSON Lines or CSV; each row holds one value per column, in order.
 
-    Floats are emitted with 12 significant digits in both formats, so
-    repeated runs over the same data are byte-identical.  *rows* must be a
-    list or tuple of tuples, else ``TypeError``; a row of the wrong length is
-    a ``ValueError``.  Both are raised before the file is opened.
+    Every cell is a ``str``, ``int``, ``float``, ``bool`` or ``None``.  Floats
+    are rounded to 12 significant digits; JSON Lines writes the shortest
+    ``repr`` of the rounded value, with ``NaN`` and ``Infinity`` for
+    non-finite ones.  CSV writes an empty cell for ``None``, ``true`` and
+    ``false`` for booleans, and quotes a cell, doubling its quotes, exactly
+    when it holds ``,``, ``"``, ``\\r`` or ``\\n``.  So repeated runs over the
+    same data are byte-identical.  *rows* must be a list or tuple of tuples,
+    and a row or cell of another type is a ``TypeError``; a row of the wrong
+    length is a ``ValueError``.  All are raised before the file is opened.
+    Rows are encoded a column at a time, ``_CHUNK_ROWS`` rows per write.
     """
     if format not in REPORT_FORMATS:
         raise ValueError("format must be 'jsonl' or 'csv'")
@@ -425,6 +491,9 @@ def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format:
     # iterated as its keys or characters
     if not isinstance(rows, (list, tuple)):
         raise TypeError(f"report rows must be a list or tuple, not {type(rows).__name__}")
+    for name in fieldnames:
+        if not isinstance(name, str):
+            raise TypeError(f"report column name {name!r} is a {type(name).__name__}, not a str")
     for index, row in enumerate(rows):
         if not isinstance(row, tuple):
             raise TypeError(f"report row {index} is a {type(row).__name__}, not a tuple")
@@ -432,15 +501,42 @@ def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format:
             raise ValueError(
                 f"report row {index} has {len(row)} values for {len(fieldnames)} columns"
             )
-    path = Path(path)
-    if format == "jsonl":
-        text = "".join(
-            json.dumps(dict(zip(fieldnames, map(_jsonl_value, row))), ensure_ascii=False) + "\n"
-            for row in rows
+    # a streamed write cannot take back the lines before a cell it cannot encode
+    columns = list(zip(*rows))
+    column_types = [set(map(type, column)) for column in columns]
+    if not all(issubclass(t, _CELL_TYPES) for types in column_types for t in types):
+        index, name, cell = next(
+            (index, name, cell)
+            for index, row in enumerate(rows)
+            for name, cell in zip(fieldnames, row)
+            if not issubclass(type(cell), _CELL_TYPES)
         )
-        path.write_text(text, encoding="utf-8")
+        raise TypeError(
+            f"report row {index} column {name!r} holds a {type(cell).__name__}, "
+            "not a str, int, float, bool or None"
+        )
+    if format == "jsonl":
+        # as dict(zip(fieldnames, row)): a repeated name keeps its first place
+        # and its last value
+        last = {name: column for column, name in enumerate(fieldnames)}
+        keys = (_JSON(name).replace("%", "%%") for name in last)
+        template = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
+        header = ""
+        written = list(last.values())
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(fieldnames)
-            writer.writerows(map(_csv_value, row) for row in rows)
+        template = ",".join(["%s"] * len(fieldnames)) + "\n"
+        header = template % tuple(map(_csv_cell, fieldnames))
+        written = list(range(len(fieldnames)))
+    # csv.writer quotes a line's only cell when it is empty, so that no line is blank
+    lone_cell = format == "csv" and len(fieldnames) == 1
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write('""\n' if lone_cell and header == "\n" else header)
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, len(rows))
+            cells = [
+                _encode_column(columns[j][start:stop], column_types[j], format) for j in written
+            ]
+            if lone_cell:
+                cells = [[text or '""' for text in cells[0]]]
+            lines = map(template.__mod__, zip(*cells)) if cells else [template % ()] * (stop - start)
+            fh.write("".join(lines))

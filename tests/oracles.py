@@ -7,8 +7,10 @@ instead of continued fractions, an arbitrary-precision tail probability, an
 LCS-based edit distance and a catalog matcher that scores every entry with
 it, a Runge-Kutta integration of the diffusion ODE, and
 central differences instead of the analytic Jacobian.  It also holds
-``read_report``, the reader the tests use to load the package's JSONL and CSV
-reports back; the package itself only writes them.
+``write_report_reference``, the package's report writer as it was when each
+row went through ``json.dumps`` or ``csv.writer``, and ``read_report``, the
+reader the tests use to load the package's JSONL and CSV reports back; the
+package itself only writes them.
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ def finite_difference_jacobian(
 
 
 # ---------------------------------------------------------------------------
-# reading reports back
+# writing reports row by row and reading them back
 
 
 def read_report(path, format: str) -> list[dict]:
@@ -290,6 +292,49 @@ def read_report(path, format: str) -> list[dict]:
         ]
     with open(path, encoding="utf-8", newline="") as fh:
         return [dict(row) for row in csv.DictReader(fh)]
+
+
+def _jsonl_value(value):
+    return float(format(value, ".12g")) if isinstance(value, float) else value
+
+
+def _csv_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def write_report_reference(rows, fieldnames, path, format: str) -> None:
+    """The package's report writer as it was row by row, through ``json`` and ``csv``."""
+    if format not in ("jsonl", "csv"):
+        raise ValueError("format must be 'jsonl' or 'csv'")
+    # a generator would be used up here, and a dict or str row would be
+    # iterated as its keys or characters
+    if not isinstance(rows, (list, tuple)):
+        raise TypeError(f"report rows must be a list or tuple, not {type(rows).__name__}")
+    for index, row in enumerate(rows):
+        if not isinstance(row, tuple):
+            raise TypeError(f"report row {index} is a {type(row).__name__}, not a tuple")
+        if len(row) != len(fieldnames):
+            raise ValueError(
+                f"report row {index} has {len(row)} values for {len(fieldnames)} columns"
+            )
+    path = Path(path)
+    if format == "jsonl":
+        text = "".join(
+            json.dumps(dict(zip(fieldnames, map(_jsonl_value, row))), ensure_ascii=False) + "\n"
+            for row in rows
+        )
+        path.write_text(text, encoding="utf-8")
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(fieldnames)
+            writer.writerows(map(_csv_value, row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

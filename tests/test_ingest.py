@@ -1,14 +1,17 @@
 """Parsing, serialization and round-trip tests."""
 
 import codecs
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import read_report
+from oracles import read_report, write_report_reference
 from resurge import ingest
 from resurge.curation import SongRecord
 from resurge.ingest import (
@@ -472,6 +475,24 @@ def test_write_dataset_round_trip(tmp_path_factory, records):
     assert len(written) == sum(1 + (r.web_search_series is not None) for r in records)
 
 
+@pytest.mark.parametrize("song_id, message", [
+    ("", "needs a non-empty song_id"),
+    ("  ", "needs a non-empty song_id"),
+    ("../escaped", "song_id '../escaped' contains a path separator"),
+    ("a\\b", r"song_id 'a\\\\b' contains a path separator"),
+    ("a\x00b", r"song_id 'a\\x00b' contains a null byte"),
+    ("\ud800", r"song_id '\\ud800' contains a lone surrogate"),
+    ("\u00e9" * 120, "song_id is over 238 UTF-8 bytes"),
+], ids=["empty", "blank", "slash", "backslash", "nul", "surrogate", "too_long"])
+def test_write_dataset_rejects_ids_load_manifest_rejects(tmp_path, song_id, message):
+    good = SongRecord("ok", "OK by Y", TimeSeries(days=[1], values=[1.0]))
+    bad = SongRecord(song_id, "Bad by Y", TimeSeries(days=[1], values=[1.0]))
+    with pytest.raises(ValueError, match=rf"^records\[1\] {message}$"):
+        write_dataset([good, bad], tmp_path / "m" / "manifest.json", "series")
+    # nothing is written, not even the series of the good record
+    assert not any(tmp_path.iterdir())
+
+
 # --- reports ---------------------------------------------------------------------------
 
 
@@ -551,3 +572,129 @@ def test_write_report_rejects_rows_that_are_not_tuples(tmp_path, fmt, make_rows,
     with pytest.raises(TypeError, match=message):
         write_report(make_rows(), SAMPLE_FIELDS, path, fmt)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("cell, type_name", [
+    ({0.5}, "set"), (np.array([0.5]), "ndarray"), (b"x", "bytes"), (np.int64(3), "int64"),
+], ids=["set", "ndarray", "bytes", "numpy_int"])
+def test_write_report_rejects_cells_it_cannot_encode(tmp_path, fmt, cell, type_name):
+    path = tmp_path / f"r.{fmt}"
+    # past the first chunk, so a streamed write would already have written lines
+    rows = SAMPLE_ROWS * ingest._CHUNK_ROWS + [("c", cell, True, None)]
+    with pytest.raises(TypeError, match=(
+        rf"^report row {len(rows) - 1} column 'p_value' holds a {type_name}, "
+        r"not a str, int, float, bool or None$"
+    )):
+        write_report(rows, SAMPLE_FIELDS, path, fmt)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_write_report_rejects_column_names_that_are_not_str(tmp_path, fmt):
+    path = tmp_path / f"r.{fmt}"
+    with pytest.raises(TypeError, match="report column name 1 is a int, not a str"):
+        write_report([("a", 0.5)], ["song_id", 1], path, fmt)
+    assert not path.exists()
+
+
+def test_csv_quotes_exactly_the_cells_that_need_it(tmp_path):
+    path = tmp_path / "r.csv"
+    cells = ("a,b", 'say "hi"', "cr\rhere", "lf\nhere", "plain {} % text", "caf\u00e9")
+    write_report([cells], ["c,1", "c2", "c3", "c4", "c5", "c6"], path, "csv")
+    assert path.read_bytes().decode("utf-8") == (
+        '"c,1",c2,c3,c4,c5,c6\n'
+        '"a,b","say ""hi""","cr\rhere","lf\nhere",plain {} % text,caf\u00e9\n'
+    )
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh))[1] == list(cells)
+
+
+def test_jsonl_floats_are_the_shortest_repr_of_12_digits(tmp_path):
+    path = tmp_path / "r.jsonl"
+    values = (0.1 + 0.2, 1.0, 1234567890123.4, 1e16, 2.5e-7, 5e-324, -0.0,
+              math.nan, math.inf, -math.inf)
+    write_report([(v,) for v in values], ["x"], path, "jsonl")
+    assert path.read_text().splitlines() == [
+        '{"x": %s}' % text for text in (
+            "0.3", "1.0", "1234567890120.0", "1e+16", "2.5e-07", "5e-324", "-0.0",
+            "NaN", "Infinity", "-Infinity",
+        )
+    ]
+
+
+# --- the streamed writer against the row-at-a-time reference ---------------------------
+
+_CHUNK = ingest._CHUNK_ROWS
+_texts = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from(',"\r\n{}%\u00e9\U0001f3b5'),
+    max_size=6,
+)
+_floats = st.one_of(
+    st.floats(),
+    # .12g switches to an exponent here, repr does not
+    st.floats(1e12, 1e16, exclude_max=True),
+    st.integers(-(2**60), 2**60).map(float),
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -0.0, 0.0]),
+)
+_scalars = st.booleans() | st.none()
+# one pool of cells per column; most columns hold one type, as the reports do
+_pools = st.one_of(
+    st.lists(_floats, min_size=1, max_size=5),
+    st.lists(st.integers(), min_size=1, max_size=5),
+    st.lists(_texts, min_size=1, max_size=5),
+    st.lists(_scalars, min_size=1, max_size=3),
+    st.lists(_floats | st.integers() | _texts | _scalars | _floats.map(np.float64),
+             min_size=1, max_size=6),
+)
+
+
+@st.composite
+def _reports(draw):
+    fieldnames = draw(st.lists(_texts, max_size=4))
+    n_rows = draw(st.sampled_from([0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1]))
+    rng = draw(st.randoms(use_true_random=False))
+    columns = []
+    for _ in fieldnames:
+        pool = draw(_pools)
+        columns.append([rng.choice(pool) for _ in range(n_rows)])
+    rows = list(zip(*columns)) if columns else [()] * n_rows
+    return fieldnames, rows
+
+
+def _csv_module_follows_the_rule(text: str) -> bool:
+    """Whether csv.writer writes *text* as a cell the way write_report does.
+
+    write_report quotes a cell exactly when it holds , " \\r or \\n.  csv.writer
+    quotes \\r only where it belongs to the line terminator on some Pythons,
+    and on 3.10 it cannot write NUL at all.
+    """
+    out = io.StringIO()
+    try:
+        csv.writer(out, lineterminator="\n").writerow([text, ""])
+    except csv.Error:
+        return False
+    quoted = any(c in text for c in ',"\r\n')
+    expected = '"' + text.replace('"', '""') + '"' if quoted else text
+    return out.getvalue() == expected + ",\n"
+
+
+@given(_reports())
+# signed zeros, and 1 == 1.0 == True, in one column
+@example((["a", "b"], [(-0.0, 1), (0.0, True), (None, 1.0), (0.0, False), (-0.0, None)]))
+# a repeated column name, which JSONL writes once
+@example((["k", "k", "j"], [(1, "x", 2.5), (2, "y", 3.5)]))
+# one column, where csv writes an empty cell as ""
+@example(([""], [("",), (None,), ("x",)]))
+@example(([], [(), ()]))
+@settings(max_examples=60, deadline=None)
+def test_streamed_writer_matches_the_reference(tmp_path_factory, report):
+    fieldnames, rows = report
+    directory = tmp_path_factory.mktemp("report")
+    texts = fieldnames + [cell for row in rows for cell in row if isinstance(cell, str)]
+    for fmt in ("jsonl", "csv"):
+        if fmt == "csv" and not all(map(_csv_module_follows_the_rule, set(texts))):
+            continue
+        write_report(rows, fieldnames, directory / f"new.{fmt}", fmt)
+        write_report_reference(rows, fieldnames, directory / f"old.{fmt}", fmt)
+        assert (directory / f"new.{fmt}").read_bytes() == (directory / f"old.{fmt}").read_bytes()
