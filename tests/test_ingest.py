@@ -665,9 +665,9 @@ def _reports(draw):
 def _csv_module_follows_the_rule(text: str) -> bool:
     """Whether csv.writer writes *text* as a cell the way write_report does.
 
-    write_report quotes a cell exactly when it holds , " \\r or \\n.  csv.writer
-    quotes \\r only where it belongs to the line terminator on some Pythons,
-    and on 3.10 it cannot write NUL at all.
+    write_report quotes a cell exactly when it holds , " \\r or \\n.  On Python
+    3.11 csv.writer leaves a bare \\r unquoted, because it is not part of the
+    "\\n" line terminator, and a csv module may refuse a cell outright.
     """
     out = io.StringIO()
     try:
