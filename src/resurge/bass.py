@@ -41,6 +41,9 @@ __all__ = [
 GRID_P = (0.001, 0.01, 0.03, 0.1)
 GRID_Q = (0.01, 0.1, 0.38, 0.8)
 
+# the grid's (p, q) pairs, one per row, p-major
+_GRID = np.array([(p, q) for p in GRID_P for q in GRID_Q])
+
 P_BOUNDS = (1e-6, 1.0)
 Q_BOUNDS = (0.0, 5.0)
 
@@ -122,17 +125,22 @@ def _cumulative_and_jacobian(theta: np.ndarray, times: np.ndarray) -> tuple[np.n
 
     F takes the float operations of ``_cumulative_for``, so the two agree bit
     for bit.  The derivative is analytic because finite differences probe
-    outside p > 0 near the lower bound.
+    outside p > 0 near the lower bound.  With r = q/p, denom = 1 + r decay,
+    s = decay / denom², u = (1 + r) t and v = (1 - decay) / p,
+    dF/dp = (u + r v) s and dF/dq = (u - v) s.
     """
     p, q = float(theta[0]), float(theta[1])
     decay = np.exp(-(p + q) * times)
     ratio = q / p
-    denom = 1.0 + ratio * decay
-    d_decay = -times * decay  # same for p and q
     one_minus = 1.0 - decay
-    d_p = (-d_decay * denom - one_minus * (-(q / p**2) * decay + ratio * d_decay)) / denom**2
-    d_q = (-d_decay * denom - one_minus * ((1.0 / p) * decay + ratio * d_decay)) / denom**2
-    return one_minus / denom, np.column_stack([d_p, d_q])
+    denom = 1.0 + ratio * decay
+    scale = decay / (denom * denom)
+    u = (1.0 + ratio) * times
+    v = one_minus / p
+    jac = np.empty((times.size, 2))
+    np.multiply(u + ratio * v, scale, out=jac[:, 0])
+    np.multiply(u - v, scale, out=jac[:, 1])
+    return one_minus / denom, jac
 
 
 def bass_cumulative(params: BassParams, t):
@@ -176,20 +184,19 @@ def fit_cumulative(times: np.ndarray, observed: np.ndarray) -> BassFit:
         curve, jac = _cumulative_and_jacobian(theta, times)
         return curve - observed, jac
 
-    scored = []
-    for i, (p0, q0) in enumerate((p, q) for p in GRID_P for q in GRID_Q):
-        r0 = _cumulative_for(p0, q0, times) - observed
-        if np.all(np.isfinite(r0)):
-            scored.append((float(np.linalg.norm(r0)), i, (p0, q0)))
-    if not scored:
+    # every grid start at once: one row of residuals per (p, q) pair
+    starts = _cumulative_for(_GRID[:, :1], _GRID[:, 1:], times) - observed
+    finite = np.isfinite(starts).all(axis=1)
+    if not finite.any():
         raise ValueError("unfittable series")
-    scored.sort()
+    norms = np.linalg.norm(starts[finite], axis=1)
+    scored = sorted(zip(norms.tolist(), np.flatnonzero(finite).tolist()))
 
     best: NlsFit | None = None
-    for _, _, start in scored[:_REFINE_STARTS]:
+    for _, start in scored[:_REFINE_STARTS]:
         fit = damped_least_squares(
             model,
-            np.array(start),
+            _GRID[start],
             bounds=[P_BOUNDS, Q_BOUNDS],
             max_iter=_FIT_MAX_ITER,
             tol=_FIT_TOL,

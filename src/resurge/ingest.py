@@ -289,6 +289,24 @@ def _song_id_problem(song_id) -> str | None:
     return None
 
 
+def _song_problem(label: str, song_id, display_title, seen: set) -> str | None:
+    """Why a manifest cannot hold this song, or None if it can.
+
+    *seen* holds the ids of the songs before it; an id that passes is added.
+    """
+    problem = _song_id_problem(song_id)
+    if problem is not None:
+        return f"{label} {problem}"
+    if not isinstance(display_title, str) or not display_title.strip():
+        return f"{label} ({song_id}) needs a non-empty display_title"
+    if _SURROGATE.search(display_title):
+        return f"{label} ({song_id}) display_title has a lone surrogate"
+    if song_id in seen:
+        return f"duplicate song identifier: {song_id}"
+    seen.add(song_id)
+    return None
+
+
 def load_manifest(path) -> DatasetManifest:
     # newline=None turns "\r\n" and "\r" into "\n", as reading in text mode
     # does, so JSON error line numbers count every kind of line break
@@ -318,20 +336,13 @@ def load_manifest(path) -> DatasetManifest:
         display_title = item.get("display_title")
         short_video = item.get("short_video")
         web_search = item.get("web_search")
-        problem = _song_id_problem(song_id)
+        problem = _song_problem(label, song_id, display_title, seen)
         if problem is not None:
-            raise ParseError(path, None, f"{label} {problem}")
-        if not isinstance(display_title, str) or not display_title.strip():
-            raise ParseError(path, None, f"{label} ({song_id}) needs a non-empty display_title")
-        if _SURROGATE.search(display_title):
-            raise ParseError(path, None, f"{label} ({song_id}) display_title has a lone surrogate")
+            raise ParseError(path, None, problem)
         if not isinstance(short_video, str) or not short_video:
             raise ParseError(path, None, f"{label} ({song_id}) needs a short_video path")
         if web_search is not None and not isinstance(web_search, str):
             raise ParseError(path, None, f"{label} ({song_id}) web_search must be a path or null")
-        if song_id in seen:
-            raise ParseError(path, None, f"duplicate song identifier: {song_id}")
-        seen.add(song_id)
         entries.append(
             ManifestEntry(
                 song_id=song_id,
@@ -393,13 +404,14 @@ def write_dataset(records: Sequence[SongRecord], manifest_path, series_dir: str)
     Each series goes to a file named after its song id and platform inside
     *series_dir*, which is relative to the manifest's directory and created
     if absent.  A null web-search series gets no file and a null path.  A
-    song id that :func:`load_manifest` would reject is a ``ValueError``,
-    raised before anything is written.
+    song id or display title that :func:`load_manifest` would reject, or a
+    repeated song id, is a ``ValueError``, raised before anything is written.
     """
+    seen: set[str] = set()
     for index, record in enumerate(records):
-        problem = _song_id_problem(record.song_id)
+        problem = _song_problem(f"records[{index}]", record.song_id, record.display_title, seen)
         if problem is not None:
-            raise ValueError(f"records[{index}] {problem}")
+            raise ValueError(problem)
     directory = Path(manifest_path).parent
     (directory / series_dir).mkdir(parents=True, exist_ok=True)
 
@@ -448,8 +460,11 @@ def _jsonl_float(text: str) -> str:
     return float.__repr__(value) if math.isfinite(value) else _JSON(value)
 
 
-def _encode_column(column: tuple, types: set, format: str) -> Iterable[str]:
-    """The text of each cell of a report column whose cells have these types."""
+def _encode_column(column: tuple, types: set, format: str, encoded: dict) -> Iterable[str]:
+    """The text of each cell of a report column whose cells have these types.
+
+    *encoded* maps each string of a column of strings to its text.
+    """
     if types == {float}:
         texts = map("%.12g".__mod__, column)
         if format == "csv":
@@ -460,8 +475,6 @@ def _encode_column(column: tuple, types: set, format: str) -> Iterable[str]:
     if types == {int}:
         return map(int.__repr__, column)
     if types == {str}:
-        encode = _JSON if format == "jsonl" else _csv_cell
-        encoded = {text: encode(text) for text in set(column)}
         return map(encoded.__getitem__, column)
     if types <= {bool, type(None)}:
         return map(_CONSTANTS[format].__getitem__, column)
@@ -469,6 +482,25 @@ def _encode_column(column: tuple, types: set, format: str) -> Iterable[str]:
     if format == "jsonl":
         return [_JSON(_jsonl_value(cell)) for cell in column]
     return [_csv_cell(_csv_value(cell)) for cell in column]
+
+
+def _distinct_strings(column: tuple, types: set) -> set:
+    """The distinct strings of a report column whose cells have these types."""
+    if types == {str}:
+        return set(column)
+    if any(issubclass(t, str) for t in types):
+        return {cell for cell in column if isinstance(cell, str)}
+    return set()
+
+
+def _first_cell(rows: Sequence[tuple], fieldnames: Sequence[str], bad) -> tuple[int, str, object]:
+    """Row index, column name and value of the first cell for which *bad* is true."""
+    return next(
+        (index, name, cell)
+        for index, row in enumerate(rows)
+        for name, cell in zip(fieldnames, row)
+        if bad(cell)
+    )
 
 
 def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format: str) -> None:
@@ -482,7 +514,9 @@ def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format:
     when it holds ``,``, ``"``, ``\\r`` or ``\\n``.  So repeated runs over the
     same data are byte-identical.  *rows* must be a list or tuple of tuples,
     and a row or cell of another type is a ``TypeError``; a row of the wrong
-    length is a ``ValueError``.  All are raised before the file is opened.
+    length, or a column name or cell that UTF-8 cannot encode (a string with
+    a lone surrogate), is a ``ValueError``.  All are raised before the file
+    is opened.
     Rows are encoded a column at a time, ``_CHUNK_ROWS`` rows per write.
     """
     if format not in REPORT_FORMATS:
@@ -494,6 +528,10 @@ def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format:
     for name in fieldnames:
         if not isinstance(name, str):
             raise TypeError(f"report column name {name!r} is a {type(name).__name__}, not a str")
+        if _SURROGATE.search(name):
+            raise ValueError(
+                f"report column name {name!r} holds a lone surrogate, which UTF-8 cannot encode"
+            )
     for index, row in enumerate(rows):
         if not isinstance(row, tuple):
             raise TypeError(f"report row {index} is a {type(row).__name__}, not a tuple")
@@ -501,20 +539,28 @@ def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format:
             raise ValueError(
                 f"report row {index} has {len(row)} values for {len(fieldnames)} columns"
             )
-    # a streamed write cannot take back the lines before a cell it cannot encode
+    # a streamed write cannot take back the lines before a cell it cannot
+    # encode, so every cell type and every distinct string is checked first
     columns = list(zip(*rows))
     column_types = [set(map(type, column)) for column in columns]
     if not all(issubclass(t, _CELL_TYPES) for types in column_types for t in types):
-        index, name, cell = next(
-            (index, name, cell)
-            for index, row in enumerate(rows)
-            for name, cell in zip(fieldnames, row)
-            if not issubclass(type(cell), _CELL_TYPES)
+        index, name, cell = _first_cell(
+            rows, fieldnames, lambda cell: not isinstance(cell, _CELL_TYPES)
         )
         raise TypeError(
             f"report row {index} column {name!r} holds a {type(cell).__name__}, "
             "not a str, int, float, bool or None"
         )
+    strings = list(map(_distinct_strings, columns, column_types))
+    if any(_SURROGATE.search(text) for texts in strings for text in texts):
+        index, name, _ = _first_cell(
+            rows, fieldnames, lambda cell: isinstance(cell, str) and _SURROGATE.search(cell)
+        )
+        raise ValueError(
+            f"report row {index} column {name!r} holds a lone surrogate, which UTF-8 cannot encode"
+        )
+    encode = _JSON if format == "jsonl" else _csv_cell
+    encoded = [{text: encode(text) for text in texts} for texts in strings]
     if format == "jsonl":
         # as dict(zip(fieldnames, row)): a repeated name keeps its first place
         # and its last value
@@ -534,7 +580,8 @@ def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format:
         for start in range(0, len(rows), _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, len(rows))
             cells = [
-                _encode_column(columns[j][start:stop], column_types[j], format) for j in written
+                _encode_column(columns[j][start:stop], column_types[j], format, encoded[j])
+                for j in written
             ]
             if lone_cell:
                 cells = [[text or '""' for text in cells[0]]]

@@ -180,23 +180,60 @@ def f_survival(f: float, d1: int, d2: int) -> float:
 
 def _expand_bounds(
     bounds: Sequence[tuple[float, float]] | None, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[float]]:
     if bounds is None:
-        return np.full(n, -np.inf), np.full(n, np.inf)
-    lo = np.asarray([pair[0] for pair in bounds], dtype=np.float64)
-    hi = np.asarray([pair[1] for pair in bounds], dtype=np.float64)
-    if lo.size != n or hi.size != n:
+        return [-math.inf] * n, [math.inf] * n
+    lo = [float(pair[0]) for pair in bounds]
+    hi = [float(pair[1]) for pair in bounds]
+    if len(lo) != n:
         raise ValueError("bounds length must match parameter count")
-    if np.any(lo > hi):
+    # a NaN bound would compare false both ways and clamp nothing
+    if any(map(math.isnan, lo + hi)):
+        raise ValueError("bounds must not be NaN")
+    if any(a > b for a, b in zip(lo, hi)):
         raise ValueError("lower bound exceeds upper bound")
     return lo, hi
 
 
-def _evaluate(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    # the residual norm is NaN when the residual or the Jacobian is non-finite
-    resid, J = (np.asarray(a, dtype=np.float64) for a in model(x))
-    finite = np.all(np.isfinite(resid)) and np.all(np.isfinite(J))
-    return resid, J, float(np.linalg.norm(resid)) if finite else math.nan
+def _evaluate(model, x: list[float]) -> tuple[list[list[float]], list[float], float]:
+    """JᵀJ and Jᵀr as nested lists of floats, and ||r||, at x.
+
+    The norm is NaN, and the lists are empty, when r or J is non-finite.
+    """
+    resid, J = model(np.array(x))
+    resid = np.asarray(resid, dtype=np.float64)
+    if not (np.isfinite(resid).all() and np.isfinite(J).all()):
+        return [], [], math.nan
+    # sqrt(r @ r) is what np.linalg.norm computes for a 1-d array
+    return (J.T @ J).tolist(), (J.T @ resid).tolist(), math.sqrt(resid @ resid)
+
+
+def _damped_step(jtj: list[list[float]], grad: list[float], lam: float) -> list[float] | None:
+    """The s solving (JᵀJ + lam·I) s = -Jᵀr, by Cholesky on Python floats.
+
+    None when a pivot is not positive, as when the damped matrix is not
+    positive definite to working precision, or when s is not finite.
+    """
+    n = len(grad)
+    chol: list[list[float]] = []  # row i holds L[i][0..i]
+    for i in range(n):
+        row = []
+        for j in range(i):
+            other = chol[j]
+            row.append((jtj[i][j] - sum([row[k] * other[k] for k in range(j)])) / other[j])
+        pivot = jtj[i][i] + lam - sum([v * v for v in row])
+        if not pivot > 0.0:
+            return None
+        row.append(math.sqrt(pivot))
+        chol.append(row)
+    # L y = -grad, then Lᵀ s = y
+    y: list[float] = []
+    for i in range(n):
+        y.append((-grad[i] - sum([chol[i][k] * y[k] for k in range(i)])) / chol[i][i])
+    step = [0.0] * n
+    for i in reversed(range(n)):
+        step[i] = (y[i] - sum([chol[k][i] * step[k] for k in range(i + 1, n)])) / chol[i][i]
+    return step if all(map(math.isfinite, step)) else None
 
 
 def damped_least_squares(
@@ -208,49 +245,51 @@ def damped_least_squares(
 ) -> NlsFit:
     """Minimize ||r(params)||^2 by Gauss-Newton steps with adaptive damping.
 
-    ``model(params)`` returns r and its Jacobian (one row per residual, one
-    column per parameter).  It runs once at ``init`` and once per trial point.
-    A non-finite r or Jacobian is a ValueError at ``init`` and rejects a trial.
+    ``model(params)`` returns r and its Jacobian as arrays (one row per
+    residual, one column per parameter).  It runs once at ``init`` and once
+    per trial point.  A non-finite r or Jacobian is a ValueError at ``init``
+    and rejects a trial.
 
-    The damping factor multiplies by 10 whenever a step is rejected, as when it
-    increases the residual norm, and divides by 10 on a decrease.  Steps are
-    clamped to ``bounds``.  Converged when the relative residual-norm
-    improvement of an accepted step falls below ``tol`` or the step norm does.
-    The returned residual norm never exceeds the norm at ``init``; a run that
-    hits ``max_iter`` returns the best iterate with converged=False.
+    Each step solves the damped normal equations by a Cholesky factorization
+    on Python floats; a pivot that is not positive, or a non-finite step,
+    rejects the step.  The damping factor multiplies by 10 whenever a step is
+    rejected, as when it increases the residual norm, and divides by 10 on a
+    decrease.  Steps are clamped to ``bounds``, which must not be NaN.
+    Converged when the relative residual-norm improvement of an accepted step
+    falls below ``tol`` or the step norm does.  The returned residual norm
+    never exceeds the norm at ``init``; a run that hits ``max_iter`` returns
+    the best iterate with converged=False.
     """
-    x = np.asarray(init, dtype=np.float64).copy()
-    if x.ndim != 1 or x.size < 1:
+    init = np.asarray(init, dtype=np.float64)
+    if init.ndim != 1 or init.size < 1:
         raise ValueError("init must be a non-empty 1-d array")
-    lo, hi = _expand_bounds(bounds, x.size)
-    if np.any(x < lo) or np.any(x > hi):
+    lo, hi = _expand_bounds(bounds, init.size)
+    x = init.tolist()
+    if any(v < a or v > b for v, a, b in zip(x, lo, hi)):
         raise ValueError("init must lie within bounds")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    resid, J, cost = _evaluate(model, x)
+    jtj, grad, cost = _evaluate(model, x)
     if math.isnan(cost):
         raise ValueError("invalid starting point")
 
     lam = 1e-3
-    eye = np.eye(x.size)
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        grad = J.T @ resid
-        try:
-            step = np.linalg.solve(J.T @ J + lam * eye, -grad)
-        except np.linalg.LinAlgError:
+        step = _damped_step(jtj, grad, lam)
+        if step is None:
             lam = min(lam * 10.0, 1e12)
             continue
-        x_new = np.clip(x + step, lo, hi)
-        resid_new, J_new, cost_new = _evaluate(model, x_new)
+        x_new = [min(max(v + s, a), b) for v, s, a, b in zip(x, step, lo, hi)]
+        jtj_new, grad_new, cost_new = _evaluate(model, x_new)
         if not cost_new <= cost:  # a NaN cost, from a non-finite trial, is rejected too
             lam = min(lam * 10.0, 1e12)
             continue
-        step_norm = float(np.linalg.norm(x_new - x))
+        step_norm = math.sqrt(sum([(a - b) * (a - b) for a, b in zip(x_new, x)]))
         improvement = cost - cost_new
-        x, resid, J, cost = x_new, resid_new, J_new, cost_new
+        x, jtj, grad, cost = x_new, jtj_new, grad_new, cost_new
         lam = max(lam / 10.0, 1e-12)
         if step_norm < tol or cost == 0.0 or improvement < tol * cost:
             converged = True

@@ -6,11 +6,13 @@ orthogonal factorization, closed-form beta polynomials and recurrences
 instead of continued fractions, an arbitrary-precision tail probability, an
 LCS-based edit distance and a catalog matcher that scores every entry with
 it, a Runge-Kutta integration of the diffusion ODE, and
-central differences instead of the analytic Jacobian.  It also holds
-``write_report_reference``, the package's report writer as it was when each
-row went through ``json.dumps`` or ``csv.writer``, and ``read_report``, the
-reader the tests use to load the package's JSONL and CSV reports back; the
-package itself only writes them.
+central differences instead of the analytic Jacobian.  It also holds earlier
+forms of package code: ``damped_step_solve``, the Gauss-Newton step by
+``np.linalg.solve``; ``bass_jacobian_reference``, the diffusion Jacobian term
+by term; and ``write_report_reference``, the package's report writer as it
+was when each row went through ``json.dumps`` or ``csv.writer``.  Last,
+``read_report`` is the reader the tests use to load the package's JSONL and
+CSV reports back; the package itself only writes them.
 """
 
 from __future__ import annotations
@@ -273,6 +275,35 @@ def finite_difference_jacobian(
         dn[i] -= h
         cols.append((np.asarray(model(up), dtype=np.float64) - np.asarray(model(dn), dtype=np.float64)) / (2.0 * h))
     return np.column_stack(cols)
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Newton step and the diffusion Jacobian as the package first wrote them
+
+
+def damped_step_solve(jtj, grad, lam: float) -> np.ndarray:
+    """The s solving (JᵀJ + lam·I) s = -Jᵀr by LU with partial pivoting.
+
+    The package's damped step before it factored the damped matrix by
+    Cholesky on Python floats; raises ``np.linalg.LinAlgError`` only for an
+    exactly singular matrix.
+    """
+    a = np.asarray(jtj, dtype=np.float64)
+    return np.linalg.solve(a + lam * np.eye(a.shape[0]), -np.asarray(grad, dtype=np.float64))
+
+
+def bass_jacobian_reference(theta: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(t) and dF/d(p, q) by the quotient rule term by term, as the package
+    first computed them, with one ``column_stack`` for the two columns."""
+    p, q = float(theta[0]), float(theta[1])
+    decay = np.exp(-(p + q) * times)
+    ratio = q / p
+    denom = 1.0 + ratio * decay
+    d_decay = -times * decay  # same for p and q
+    one_minus = 1.0 - decay
+    d_p = (-d_decay * denom - one_minus * (-(q / p**2) * decay + ratio * d_decay)) / denom**2
+    d_q = (-d_decay * denom - one_minus * ((1.0 / p) * decay + ratio * d_decay)) / denom**2
+    return one_minus / denom, np.column_stack([d_p, d_q])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import oracles
 from resurge.bass import (
     GRID_P,
     GRID_Q,
+    MIN_FIT_POINTS,
     BassParams,
     bass_cumulative,
     bass_instantaneous,
@@ -152,6 +153,20 @@ def test_analytic_jacobian_matches_finite_differences(p, q):
     np.testing.assert_allclose(
         analytic, numeric, rtol=1e-5, atol=1e-8 * np.abs(analytic).max()
     )
+
+
+@given(st.floats(1e-4, 1.0), st.floats(0.0, 5.0), st.integers(MIN_FIT_POINTS, 400))
+@settings(max_examples=200, deadline=None)
+def test_jacobian_matches_the_term_by_term_reference(p, q, n_days):
+    theta = np.array([p, q])
+    times = np.arange(n_days, dtype=float)
+    curve, jac = _cumulative_and_jacobian(theta, times)
+    expected_curve, expected = oracles.bass_jacobian_reference(theta, times)
+    assert np.array_equal(curve, expected_curve)
+    assert jac.shape == expected.shape == (n_days, 2)
+    # relative to each column's largest entry: dF/dq cancels towards 0 at small t,
+    # and for smaller p or shorter windows both routes lose digits to that cancellation
+    assert np.all(np.abs(jac - expected) <= 1e-12 * np.abs(expected).max(axis=0))
 
 
 # --- fitting --------------------------------------------------------------------

@@ -493,6 +493,21 @@ def test_write_dataset_rejects_ids_load_manifest_rejects(tmp_path, song_id, mess
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("second, message", [
+    (SongRecord("a", "Again by Y", TimeSeries(days=[1], values=[1.0])),
+     "duplicate song identifier: a"),
+    (SongRecord("b", "\udfff by Y", TimeSeries(days=[1], values=[1.0])),
+     r"records\[1\] \(b\) display_title has a lone surrogate"),
+    (SongRecord("b", " ", TimeSeries(days=[1], values=[1.0])),
+     r"records\[1\] \(b\) needs a non-empty display_title"),
+], ids=["duplicate_id", "surrogate_title", "blank_title"])
+def test_write_dataset_rejects_songs_load_manifest_rejects(tmp_path, second, message):
+    first = SongRecord("a", "A by Y", TimeSeries(days=[1], values=[1.0]))
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        write_dataset([first, second], tmp_path / "m" / "manifest.json", "series")
+    assert not any(tmp_path.iterdir())
+
+
 # --- reports ---------------------------------------------------------------------------
 
 
@@ -587,6 +602,28 @@ def test_write_report_rejects_cells_it_cannot_encode(tmp_path, fmt, cell, type_n
         r"not a str, int, float, bool or None$"
     )):
         write_report(rows, SAMPLE_FIELDS, path, fmt)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("bad_row, column", [
+    (("\ud800", 0.5, True, None), "song_id"),  # a column of strings
+    (("c", 0.5, True, "x\udfff"), "note"),  # a column of strings and None
+], ids=["str_column", "mixed_column"])
+def test_write_report_rejects_strings_utf8_cannot_encode(tmp_path, fmt, bad_row, column):
+    path = tmp_path / f"r.{fmt}"
+    # past the first chunk, so a streamed write would already have written lines
+    rows = SAMPLE_ROWS * ingest._CHUNK_ROWS + [bad_row]
+    with pytest.raises(ValueError, match=(
+        rf"^report row {len(rows) - 1} column '{column}' holds a lone surrogate, "
+        "which UTF-8 cannot encode$"
+    )):
+        write_report(rows, SAMPLE_FIELDS, path, fmt)
+    assert not path.exists()
+    with pytest.raises(ValueError, match=(
+        r"^report column name '\\udc80' holds a lone surrogate, which UTF-8 cannot encode$"
+    )):
+        write_report([("a",)], ["\udc80"], path, fmt)
     assert not path.exists()
 
 

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from resurge.numerics import (
+    _damped_step,
     damped_least_squares,
     f_survival,
     ols_fit,
@@ -336,6 +337,15 @@ def test_damped_ls_init_outside_bounds():
         )
 
 
+def test_damped_ls_rejects_nan_bounds():
+    def model(p):
+        return np.array([p[0] + 3.0])
+
+    for bounds in ([(math.nan, 1.0)], [(0.0, math.nan)]):
+        with pytest.raises(ValueError, match="bounds must not be NaN"):
+            damped_least_squares(with_fd_jacobian(model), np.array([0.5]), bounds=bounds)
+
+
 def test_damped_ls_respects_bounds():
     # unconstrained minimum sits at -3, outside the box
     def model(p):
@@ -348,6 +358,55 @@ def test_damped_ls_respects_bounds():
         max_iter=50,
     )
     assert 0.0 <= fit.params[0] <= 1.0
+
+
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32 - 1), st.floats(-12.0, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_damped_step_matches_the_solve_reference(n, extra_rows, seed, log_lam):
+    rng = np.random.default_rng(seed)
+    J = rng.normal(size=(n + extra_rows, n))
+    r = rng.normal(size=n + extra_rows)
+    lam = 10.0**log_lam
+    jtj, grad = J.T @ J, J.T @ r
+    # well-conditioned, so both routes are within rounding of the exact step
+    assume(np.linalg.cond(jtj + lam * np.eye(n)) < 1e4)
+    step = _damped_step(jtj.tolist(), grad.tolist(), lam)
+    expected = oracles.damped_step_solve(jtj, grad, lam)
+    np.testing.assert_allclose(step, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
+
+@given(
+    st.lists(st.floats(0.01, 10.0) | st.floats(-10.0, -0.01), min_size=1, max_size=4),
+    st.floats(0.0, 5.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_damped_step_rejects_exactly_the_indefinite_damped_matrices(damped_eigs, lam, seed):
+    # JᵀJ is built so that JᵀJ + lam·I has these eigenvalues, all well away from 0
+    n = len(damped_eigs)
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    jtj = (rotation * (np.array(damped_eigs) - lam)) @ rotation.T
+    jtj = (jtj + jtj.T) / 2.0
+    step = _damped_step(jtj.tolist(), rng.normal(size=n).tolist(), lam)
+    assert (step is None) == (min(damped_eigs) < 0.0)
+
+
+@pytest.mark.parametrize("jtj, grad, lam", [
+    ([[4.0, 4.0], [4.0, 4.0]], [1.0, 1.0], 0.0),  # singular: the second pivot is 0
+    ([[1e-300]], [1e300], 0.0),  # positive definite, but the step overflows
+    ([[1.0, 0.0], [0.0, 1e-300]], [1.0, 1e300], 0.0),
+    ([[1.0, math.nan], [math.nan, 1.0]], [1.0, 1.0], 1e-3),
+    ([[1.0]], [math.inf], 1e-3),
+], ids=["singular", "overflow", "overflow_2d", "nan_matrix", "inf_gradient"])
+def test_damped_step_rejects_what_the_solve_reference_cannot_take(jtj, grad, lam):
+    assert _damped_step(jtj, grad, lam) is None
+    with np.errstate(all="ignore"):
+        try:
+            expected = oracles.damped_step_solve(jtj, grad, lam)
+        except np.linalg.LinAlgError:
+            return
+    assert not np.all(np.isfinite(expected))
 
 
 @given(st.integers(0, 2**32 - 1))
