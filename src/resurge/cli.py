@@ -1,7 +1,9 @@
 """Command-line pipeline: curate, granger, bass, ccdf, pipeline.
 
 The analysis runs in stages of fixed order: curate, then granger, then bass;
-ccdf stands apart, needs only --manifest and sums the short-video series.
+ccdf stands apart, needs only --manifest and sums the short-video series.  It
+reads only the short-video files and ignores web-search paths, so a missing or
+malformed web-search file is no error there.
 Each command names the stages whose files it writes (``_COMMANDS``).  A run
 first computes in memory every stage up to the last of those (``_run``),
 re-running the earlier ones from the same inputs, and writes nothing until
@@ -260,7 +262,8 @@ class _Result:
 
 def _run(config: RunConfig, through: str) -> _Result:
     """Load the inputs and compute every stage up to ``through``; writes nothing."""
-    records = ingest.load_dataset(config.manifest)
+    # ccdf sums only the short-video series, so it reads no web-search file
+    records = ingest.load_dataset(config.manifest, web_search=(through != "ccdf"))
     result = _Result()
     if through == "ccdf":
         if not records:

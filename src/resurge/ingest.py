@@ -61,6 +61,9 @@ _SERIES_HEADER = ["date", "value"]
 # with no whitespace, comments, blank lines or "\r"
 _CANONICAL_SERIES_HEADER = "date,value\n"
 _CANONICAL_SERIES_BODY_RE = re.compile(rf"(?:{_DATE},{_VALUE}\n)+")
+# datetime64[D] counts days from 1970-01-01, ordinals from 0001-01-01 = 1
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+_MAX_ORDINAL = dt.date.max.toordinal()
 _CATALOG_HEADER = ["title", "artist", "release_date", "release_kind"]
 # write_dataset's file name for one song's series on one platform
 _SERIES_FILE = "{song_id}__{platform}.csv"
@@ -220,11 +223,21 @@ def _parse_series_lines(path, text: str) -> TimeSeries:
 
 
 def write_series_file(series: TimeSeries, path) -> None:
-    """Inverse of :func:`parse_series_file`; values round-trip bit-exactly."""
-    lines = ["date,value"]
-    for day, value in zip(series.days, series.values):
-        lines.append(f"{dt.date.fromordinal(int(day)).isoformat()},{float(value)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Inverse of :func:`parse_series_file`; values round-trip bit-exactly.
+
+    A day outside the years 1 to 9999 is a ``ValueError``, raised before the
+    file is opened.
+    """
+    days = series.days
+    # numpy spells years 0 and 10000 too, which parse_series_file rejects;
+    # days increase, so the ends bound them all
+    if days[0] < 1 or days[-1] > _MAX_ORDINAL:
+        bad = days[0] if days[0] < 1 else days[-1]
+        raise ValueError(f"day {bad} is outside the years 1 to 9999")
+    dates = np.datetime_as_string((days - _EPOCH_ORDINAL).astype("datetime64[D]"))
+    # %r of a float is its shortest round-tripping repr
+    rows = map("%s,%r\n".__mod__, zip(dates.tolist(), series.values.tolist()))
+    Path(path).write_text(_CANONICAL_SERIES_HEADER + "".join(rows), encoding="utf-8")
 
 
 def parse_catalog_file(path) -> list[CatalogEntry]:
@@ -372,27 +385,29 @@ def _read_song_series(manifest_path: Path, song_id: str, relative: str) -> TimeS
         raise ParseError(manifest_path, None, f"song '{song_id}': {exc}") from None
 
 
-def load_dataset(manifest_path) -> list[SongRecord]:
+def load_dataset(manifest_path, web_search: bool = True) -> list[SongRecord]:
     """Build song records from a manifest, reading the referenced series.
 
     A null web-search path leaves that series absent for curation stage 1 to
-    handle.  A missing or malformed series file, of either platform, is an
-    error naming the offending song.
+    handle.  A missing or malformed series file that is read is an error
+    naming the offending song.  With *web_search* false only the short-video
+    files are read: every record's web-search series is None, and its path is
+    never opened, so a bad web-search file is no error.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
     records: list[SongRecord] = []
     for entry in manifest.songs:
         short_video = _read_song_series(manifest_path, entry.song_id, entry.short_video)
-        web_search = None
-        if entry.web_search is not None:
-            web_search = _read_song_series(manifest_path, entry.song_id, entry.web_search)
+        ws_series = None
+        if web_search and entry.web_search is not None:
+            ws_series = _read_song_series(manifest_path, entry.song_id, entry.web_search)
         records.append(
             SongRecord(
                 song_id=entry.song_id,
                 display_title=entry.display_title,
                 short_video_series=short_video,
-                web_search_series=web_search,
+                web_search_series=ws_series,
             )
         )
     return records

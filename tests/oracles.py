@@ -9,8 +9,10 @@ it, a Runge-Kutta integration of the diffusion ODE, and
 central differences instead of the analytic Jacobian.  It also holds earlier
 forms of package code: ``damped_step_solve``, the Gauss-Newton step by
 ``np.linalg.solve``; ``bass_jacobian_reference``, the diffusion Jacobian term
-by term; and ``write_report_reference``, the package's report writer as it
-was when each row went through ``json.dumps`` or ``csv.writer``.  Last,
+by term; ``write_report_reference``, the package's report writer as it
+was when each row went through ``json.dumps`` or ``csv.writer``; and
+``write_series_file_reference``, the series writer as it was when each row
+went through ``datetime.date``.  Last,
 ``read_report`` is the reader the tests use to load the package's JSONL and
 CSV reports back; the package itself only writes them.
 """
@@ -18,6 +20,7 @@ CSV reports back; the package itself only writes them.
 from __future__ import annotations
 
 import csv
+import datetime as dt
 import json
 import math
 from pathlib import Path
@@ -366,6 +369,14 @@ def write_report_reference(rows, fieldnames, path, format: str) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(fieldnames)
             writer.writerows(map(_csv_value, row) for row in rows)
+
+
+def write_series_file_reference(series, path) -> None:
+    """The package's series writer as it was, one ``date.fromordinal`` per row."""
+    lines = ["date,value"]
+    for day, value in zip(series.days, series.values):
+        lines.append(f"{dt.date.fromordinal(int(day)).isoformat()},{float(value)!r}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,54 @@ def test_ccdf_single_song(tmp_path):
     assert points == [{"popularity": 9.0, "fraction_above": 0.0}]
 
 
+def demo_manifest_with_web_search(demo_dir, manifest, web_search) -> str:
+    """Write the demo manifest with absolute paths and its first web_search path replaced.
+
+    Returns the id of the first song.
+    """
+    payload = json.loads((demo_dir / "manifest.json").read_text(encoding="utf-8"))
+    for song in payload["songs"]:
+        for key in ("short_video", "web_search"):
+            if song[key] is not None:
+                song[key] = str(demo_dir / song[key])
+    payload["songs"][0]["web_search"] = web_search
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    return payload["songs"][0]["song_id"]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_ccdf_reads_no_web_search_file(capsys, tmp_path, demo_dir, fmt):
+    (tmp_path / "bad.csv").write_text("date,value\n2021-01-01,oops\n")
+    runs = {}
+    for name, web_search in (("null", None), ("missing", "gone.csv"), ("malformed", "bad.csv")):
+        manifest = tmp_path / f"{name}.json"
+        demo_manifest_with_web_search(demo_dir, manifest, web_search)
+        code = main([
+            "ccdf", "--manifest", str(manifest), "--out-dir", str(tmp_path / name), "--format", fmt,
+        ])
+        runs[name] = (code, capsys.readouterr())
+    assert runs["null"][0] == 0
+    assert runs["missing"] == runs["malformed"] == runs["null"]
+    assert not compare_trees(tmp_path / "null", tmp_path / "missing")
+    assert not compare_trees(tmp_path / "null", tmp_path / "malformed")
+
+
+@pytest.mark.parametrize("command", ["curate", "granger", "bass", "pipeline"])
+@pytest.mark.parametrize("web_search", ["gone.csv", "bad.csv"], ids=["missing", "malformed"])
+def test_analysis_commands_still_read_web_search_files(capsys, tmp_path, demo_dir, command, web_search):
+    (tmp_path / "bad.csv").write_text("date,value\n2021-01-01,oops\n")
+    manifest = tmp_path / "manifest.json"
+    song_id = demo_manifest_with_web_search(demo_dir, manifest, web_search)
+    out_dir = tmp_path / "out"
+    code = main([
+        command, "--manifest", str(manifest), "--catalog", str(demo_dir / "catalog.csv"),
+        "--out-dir", str(out_dir),
+    ])
+    assert code == 1
+    assert f"song '{song_id}'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_pipeline_equals_staged_runs(capsys, tmp_path, demo_dir):
     staged = tmp_path / "staged"
     piped = tmp_path / "piped"

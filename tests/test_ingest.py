@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import datetime as dt
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import read_report, write_report_reference
+from oracles import read_report, write_report_reference, write_series_file_reference
 from resurge import ingest
 from resurge.curation import SongRecord
 from resurge.ingest import (
@@ -235,6 +236,43 @@ def test_line_reader_matches_bulk_path(tmp_path_factory, rows, rng):
         assert back.values.tobytes() == expected.values.tobytes(), name
 
 
+_MAX_DAY = dt.date.max.toordinal()  # 3_652_059, 9999-12-31
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, _MAX_DAY), st.floats(0.0, allow_nan=False, allow_infinity=False)),
+        min_size=1,
+        max_size=30,
+        unique_by=lambda row: row[0],
+    )
+)
+@example([(1, 0.0)])
+@example([
+    (1, 0.0),
+    (dt.date(999, 12, 31).toordinal(), 5e-324),
+    (738000, 1e16),
+    (738001, 1e22),
+    (_MAX_DAY, 1.7976931348623157e308),
+])
+@settings(max_examples=60, deadline=None)
+def test_series_writer_matches_the_reference(tmp_path_factory, rows):
+    rows.sort()
+    series = TimeSeries(days=[d for d, _ in rows], values=[v for _, v in rows])
+    directory = tmp_path_factory.mktemp("writer")
+    write_series_file(series, directory / "bulk.csv")
+    write_series_file_reference(series, directory / "reference.csv")
+    assert (directory / "bulk.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("days", [[0], [0, 5], [_MAX_DAY + 1], [5, _MAX_DAY + 1]])
+def test_series_writer_rejects_days_outside_years_1_to_9999(tmp_path, days):
+    path = tmp_path / "s.csv"
+    with pytest.raises(ValueError, match="outside the years 1 to 9999"):
+        write_series_file(TimeSeries(days=days, values=[1.0] * len(days)), path)
+    assert not path.exists()
+
+
 # --- catalog and allowlist -----------------------------------------------------------
 
 
@@ -413,6 +451,39 @@ def test_load_dataset_missing_ws_file_is_an_error(tmp_path):
     manifest_path = tmp_path / "manifest.json"
     manifest_path.write_text(json.dumps(manifest_payload(songs)))
     with pytest.raises(ParseError, match="song 'a': missing series file series/gone.csv"):
+        load_dataset(manifest_path)
+
+
+def test_load_dataset_without_web_search_reads_only_short_video_paths(tmp_path, monkeypatch):
+    (tmp_path / "series").mkdir()
+    (tmp_path / "bad.csv").write_text("date,value\n2021-01-01,oops\n")
+    rows = [("2021-01-01", 1), ("2021-01-02", 2)]
+    for name in ("a_sv", "b_sv", "c_sv", "d_sv", "d_ws"):
+        write_series_csv(tmp_path / f"series/{name}.csv", rows)
+    # a directory, a missing file, a malformed file, a good file
+    web_search = {"a": "series", "b": "gone.csv", "c": "bad.csv", "d": "series/d_ws.csv"}
+    songs = [
+        {"song_id": song_id, "display_title": f"{song_id} by X",
+         "short_video": f"series/{song_id}_sv.csv", "web_search": path}
+        for song_id, path in web_search.items()
+    ]
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest_payload(songs)))
+    read = []
+    original = ingest._read_song_series
+
+    def recording(manifest, song_id, relative):
+        read.append(relative)
+        return original(manifest, song_id, relative)
+
+    monkeypatch.setattr(ingest, "_read_song_series", recording)
+
+    records = load_dataset(manifest_path, web_search=False)
+    assert [r.song_id for r in records] == ["a", "b", "c", "d"]
+    assert all(r.web_search_series is None for r in records)
+    assert all(r.short_video_series.values.tolist() == [1.0, 2.0] for r in records)
+    assert read == [song["short_video"] for song in songs]
+    with pytest.raises(ParseError, match="song 'a': missing series file series"):
         load_dataset(manifest_path)
 
 
