@@ -73,8 +73,9 @@ _MAX_SONG_ID_BYTES = 255 - len(_SERIES_FILE.format(song_id="", platform="short_v
 _SURROGATE = re.compile("[\ud800-\udfff]")
 # report rows encoded and written together
 _CHUNK_ROWS = 1024
-# the types a report cell may have; bool is an int
-_CELL_TYPES = (str, int, float, type(None))
+# the kinds of value a report column may hold; bool is an int, so it comes first
+_KINDS = (bool, int, float, str)
+_CELL_TYPES = (*_KINDS, type(None))
 # one encoder for every report value; json.dumps builds a new one per call
 _JSON = json.JSONEncoder(ensure_ascii=False).encode
 _CSV_QUOTED = re.compile('[,"\r\n]')
@@ -449,20 +450,6 @@ def write_dataset(records: Sequence[SongRecord], manifest_path, series_dir: str)
     write_manifest(DatasetManifest(MANIFEST_FORMAT_VERSION, entries), manifest_path)
 
 
-def _jsonl_value(value):
-    return float(format(value, ".12g")) if isinstance(value, float) else value
-
-
-def _csv_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 def _csv_cell(text: str) -> str:
     """*text* as a CSV cell: quoted, its quotes doubled, when it holds , " \\r or \\n."""
     return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
@@ -475,37 +462,28 @@ def _jsonl_float(text: str) -> str:
     return float.__repr__(value) if math.isfinite(value) else _JSON(value)
 
 
-def _encode_column(column: tuple, types: set, format: str, encoded: dict) -> Iterable[str]:
-    """The text of each cell of a report column whose cells have these types.
+def _encode_column(column, kind, nullable: bool, format: str, encoded: dict) -> Iterable[str]:
+    """Each cell's text in a report column of *kind*, and of None if *nullable*.
 
     *encoded* maps each string of a column of strings to its text.
     """
-    if types == {float}:
+    if nullable:
+        # a failed song's row: None's constant there, the kind's encoder elsewhere
+        present = [cell for cell in column if cell is not None]
+        texts = iter(_encode_column(present, kind, False, format, encoded))
+        return [_CONSTANTS[format][None] if cell is None else next(texts) for cell in column]
+    if kind is float:
         texts = map("%.12g".__mod__, column)
         if format == "csv":
             return texts
         # with a point and no exponent, 12 digits are already the shortest repr
         # of their float
         return [text if "." in text and "e" not in text else _jsonl_float(text) for text in texts]
-    if types == {int}:
+    if kind is int:
         return map(int.__repr__, column)
-    if types == {str}:
+    if kind is str:
         return map(encoded.__getitem__, column)
-    if types <= {bool, type(None)}:
-        return map(_CONSTANTS[format].__getitem__, column)
-    # mixed columns (a failed song's row) go cell by cell
-    if format == "jsonl":
-        return [_JSON(_jsonl_value(cell)) for cell in column]
-    return [_csv_cell(_csv_value(cell)) for cell in column]
-
-
-def _distinct_strings(column: tuple, types: set) -> set:
-    """The distinct strings of a report column whose cells have these types."""
-    if types == {str}:
-        return set(column)
-    if any(issubclass(t, str) for t in types):
-        return {cell for cell in column if isinstance(cell, str)}
-    return set()
+    return map(_CONSTANTS[format].__getitem__, column)
 
 
 def _first_cell(rows: Sequence[tuple], fieldnames: Sequence[str], bad) -> tuple[int, str, object]:
@@ -521,32 +499,39 @@ def _first_cell(rows: Sequence[tuple], fieldnames: Sequence[str], bad) -> tuple[
 def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format: str) -> None:
     """Write rows as JSON Lines or CSV; each row holds one value per column, in order.
 
-    Every cell is a ``str``, ``int``, ``float``, ``bool`` or ``None``.  Floats
-    are rounded to 12 significant digits; JSON Lines writes the shortest
-    ``repr`` of the rounded value, with ``NaN`` and ``Infinity`` for
-    non-finite ones.  CSV writes an empty cell for ``None``, ``true`` and
-    ``false`` for booleans, and quotes a cell, doubling its quotes, exactly
-    when it holds ``,``, ``"``, ``\\r`` or ``\\n``.  So repeated runs over the
-    same data are byte-identical.  *rows* must be a list or tuple of tuples,
-    and a row or cell of another type is a ``TypeError``; a row of the wrong
-    length, or a column name or cell that UTF-8 cannot encode (a string with
-    a lone surrogate), is a ``ValueError``.  All are raised before the file
-    is opened.
+    *rows* is a list or tuple of tuples; *fieldnames* a list or tuple of two
+    or more distinct ``str`` names.  A column holds one kind of value, plus
+    ``None``: ``bool``, ``int``, ``float`` or ``str``, or a subclass of it such
+    as ``np.float64``.  Floats are rounded to 12 significant digits; JSON
+    Lines writes the shortest ``repr`` of the rounded value, with ``NaN`` and
+    ``Infinity`` for non-finite ones.  CSV writes an empty cell for ``None``,
+    ``true`` and ``false`` for booleans, and quotes a cell, doubling its
+    quotes, exactly when it holds ``,``, ``"``, ``\\r`` or ``\\n``.  Every error
+    is raised before the file is opened: ``TypeError`` for *rows*,
+    *fieldnames*, a row, a name or a cell of another type, or a column that
+    mixes two kinds; ``ValueError`` for an unknown *format*, fewer than two or
+    repeated names, a row of the wrong length, or a lone surrogate in a name
+    or a cell, which UTF-8 cannot encode.
     Rows are encoded a column at a time, ``_CHUNK_ROWS`` rows per write.
     """
     if format not in REPORT_FORMATS:
         raise ValueError("format must be 'jsonl' or 'csv'")
     # a generator would be used up here, and a dict or str row would be
-    # iterated as its keys or characters
-    if not isinstance(rows, (list, tuple)):
-        raise TypeError(f"report rows must be a list or tuple, not {type(rows).__name__}")
-    for name in fieldnames:
+    # iterated as its keys or characters; a str of names as its characters
+    for what, value in (("rows", rows), ("column names", fieldnames)):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"report {what} must be a list or tuple, not {type(value).__name__}")
+    for index, name in enumerate(fieldnames):
         if not isinstance(name, str):
             raise TypeError(f"report column name {name!r} is a {type(name).__name__}, not a str")
         if _SURROGATE.search(name):
             raise ValueError(
                 f"report column name {name!r} holds a lone surrogate, which UTF-8 cannot encode"
             )
+        if name in fieldnames[:index]:
+            raise ValueError(f"report column name {name!r} is repeated")
+    if len(fieldnames) < 2:
+        raise ValueError(f"a report needs at least two columns, not {list(fieldnames)!r}")
     for index, row in enumerate(rows):
         if not isinstance(row, tuple):
             raise TypeError(f"report row {index} is a {type(row).__name__}, not a tuple")
@@ -566,7 +551,14 @@ def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format:
             f"report row {index} column {name!r} holds a {type(cell).__name__}, "
             "not a str, int, float, bool or None"
         )
-    strings = list(map(_distinct_strings, columns, column_types))
+    kinds = []
+    for name, types in zip(fieldnames, column_types):
+        found = {next(k for k in _KINDS if issubclass(t, k)) for t in types - {type(None)}}
+        if len(found) > 1:
+            mixed = " and ".join(sorted(k.__name__ for k in found))
+            raise TypeError(f"report column {name!r} mixes {mixed}; a column holds one kind")
+        kinds.append(found.pop() if found else None)
+    strings = [set(column) - {None} if kind is str else () for column, kind in zip(columns, kinds)]
     if any(_SURROGATE.search(text) for texts in strings for text in texts):
         index, name, _ = _first_cell(
             rows, fieldnames, lambda cell: isinstance(cell, str) and _SURROGATE.search(cell)
@@ -576,29 +568,17 @@ def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format:
         )
     encode = _JSON if format == "jsonl" else _csv_cell
     encoded = [{text: encode(text) for text in texts} for texts in strings]
+    nullable = [type(None) in types for types in column_types]
     if format == "jsonl":
-        # as dict(zip(fieldnames, row)): a repeated name keeps its first place
-        # and its last value
-        last = {name: column for column, name in enumerate(fieldnames)}
-        keys = (_JSON(name).replace("%", "%%") for name in last)
+        keys = (_JSON(name).replace("%", "%%") for name in fieldnames)
         template = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
         header = ""
-        written = list(last.values())
     else:
         template = ",".join(["%s"] * len(fieldnames)) + "\n"
         header = template % tuple(map(_csv_cell, fieldnames))
-        written = list(range(len(fieldnames)))
-    # csv.writer quotes a line's only cell when it is empty, so that no line is blank
-    lone_cell = format == "csv" and len(fieldnames) == 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write('""\n' if lone_cell and header == "\n" else header)
+        fh.write(header)
         for start in range(0, len(rows), _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, len(rows))
-            cells = [
-                _encode_column(columns[j][start:stop], column_types[j], format, encoded[j])
-                for j in written
-            ]
-            if lone_cell:
-                cells = [[text or '""' for text in cells[0]]]
-            lines = map(template.__mod__, zip(*cells)) if cells else [template % ()] * (stop - start)
-            fh.write("".join(lines))
+            chunks = [column[start : start + _CHUNK_ROWS] for column in columns]
+            cells = map(_encode_column, chunks, kinds, nullable, [format] * len(kinds), encoded)
+            fh.write("".join(map(template.__mod__, zip(*cells))))

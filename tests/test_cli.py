@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import resurge
-from oracles import read_report
+from oracles import read_report, write_report_reference
 from resurge import curation, ingest
 from resurge.cli import _GRANGER_FIELDS, RunConfig, main
 
@@ -305,16 +305,22 @@ def test_ccdf_single_song(tmp_path):
     assert points == [{"popularity": 9.0, "fraction_above": 0.0}]
 
 
-def demo_manifest_with_web_search(demo_dir, manifest, web_search) -> str:
-    """Write the demo manifest with absolute paths and its first web_search path replaced.
-
-    Returns the id of the first song.
-    """
+def demo_payload(demo_dir) -> dict:
+    """The demo manifest, with absolute paths."""
     payload = json.loads((demo_dir / "manifest.json").read_text(encoding="utf-8"))
     for song in payload["songs"]:
         for key in ("short_video", "web_search"):
             if song[key] is not None:
                 song[key] = str(demo_dir / song[key])
+    return payload
+
+
+def demo_manifest_with_web_search(demo_dir, manifest, web_search) -> str:
+    """Write the demo manifest with absolute paths and its first web_search path replaced.
+
+    Returns the id of the first song.
+    """
+    payload = demo_payload(demo_dir)
     payload["songs"][0]["web_search"] = web_search
     manifest.write_text(json.dumps(payload), encoding="utf-8")
     return payload["songs"][0]["song_id"]
@@ -438,20 +444,22 @@ def test_csv_and_jsonl_reports_agree_cell_for_cell(tmp_path, demo_dir):
             assert csv_row == {k: csv_cell(v) for k, v in jsonl_row.items()}, name
 
 
-@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-def test_failed_song_row_holds_only_id_and_error(capsys, tmp_path, demo_dir, fmt):
-    # an allowlisted copy of sr-004 whose web-search series is constant
+def flat_song(demo_dir, directory) -> dict:
+    """A manifest entry: sr-004 with a constant web-search series, which Granger rejects."""
     series = demo_dir / "series"
     days = [line.split(",")[0]
             for line in (series / "sr-004__web_search.csv").read_text().splitlines()[1:]]
-    (tmp_path / "flat.csv").write_text("date,value\n" + "".join(f"{d},5.0\n" for d in days))
+    (directory / "flat.csv").write_text("date,value\n" + "".join(f"{d},5.0\n" for d in days))
+    return {"song_id": "flat", "display_title": "Flat by X",
+            "short_video": str(series / "sr-004__short_video.csv"),
+            "web_search": str(directory / "flat.csv")}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_failed_song_row_holds_only_id_and_error(capsys, tmp_path, demo_dir, fmt):
+    # an allowlisted copy of sr-004 whose web-search series is constant
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({
-        "format_version": 1,
-        "songs": [{"song_id": "flat", "display_title": "Flat by X",
-                   "short_video": str(series / "sr-004__short_video.csv"),
-                   "web_search": "flat.csv"}],
-    }))
+    manifest.write_text(json.dumps({"format_version": 1, "songs": [flat_song(demo_dir, tmp_path)]}))
     allowlist = tmp_path / "allow.txt"
     allowlist.write_text("flat\n")
     out_dir = tmp_path / "out"
@@ -468,6 +476,42 @@ def test_failed_song_row_holds_only_id_and_error(capsys, tmp_path, demo_dir, fmt
     assert row["error"] == "degenerate (constant) target series"
     blank = None if fmt == "jsonl" else ""
     assert [row[name] for name in _GRANGER_FIELDS[1:-1]] == [blank] * (len(_GRANGER_FIELDS) - 2)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_error_rows_match_the_reference_writer(monkeypatch, capsys, tmp_path, demo_dir, fmt):
+    # the demo songs, plus an allowlisted song that fails Granger next to
+    # those that pass, so its None cells share columns with numbers and text
+    manifest = tmp_path / "manifest.json"
+    payload = demo_payload(demo_dir)
+    payload["songs"].append(flat_song(demo_dir, tmp_path))
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    allowlist = tmp_path / "allow.txt"
+    allowlist.write_text((demo_dir / "allowlist.txt").read_text() + "flat\n")
+    written = {}
+    write_report = ingest.write_report
+
+    def write_both(rows, fieldnames, path, format):
+        write_report(rows, fieldnames, path, format)
+        write_report_reference(rows, fieldnames, path.with_name("reference_" + path.name), format)
+        written[path.name] = (fieldnames, rows)
+
+    monkeypatch.setattr(ingest, "write_report", write_both)
+    out = tmp_path / "out"
+    for command in ("pipeline", "ccdf"):
+        assert main([
+            command, "--manifest", str(manifest), "--catalog", str(demo_dir / "catalog.csv"),
+            "--allowlist", str(allowlist), "--peak-basis", "peak",
+            "--out-dir", str(out), "--format", fmt,
+        ]) == 0
+    assert "flagged at alpha=0.1 (1 failed)" in capsys.readouterr().out
+    assert len(written) == 8
+    for name in written:
+        assert (out / name).read_bytes() == (out / f"reference_{name}").read_bytes(), name
+    # the Granger report holds error rows and normal rows
+    fieldnames, rows = written[f"granger_report.{fmt}"]
+    assert fieldnames[-1] == "error"
+    assert {row[-1] is None for row in rows} == {True, False}
 
 
 def test_pipeline_on_empty_dataset(tmp_path):
