@@ -146,13 +146,16 @@ def granger_test(
         if s.values.max() == s.values.min():
             raise ValueError(f"degenerate (constant) {role} series")
 
+    # an exact power-of-two scale to values below 1: no sum of squares overflows
+    exps = [int(np.frexp(s.values.max())[1]) for s in (target, source)]
+    y_values, x_values = (np.ldexp(s.values, -e) for s, e in zip((target, source), exps))
     per_lag = []
     for lag in lags:
         n_eff = n - lag
         df_den = n_eff - (2 * lag + 1)
         if df_den < 1:
             raise ValueError(f"series too short for lag {lag}")
-        design, y = _lagged_design(target.values, source.values, lag)
+        design, y = _lagged_design(y_values, x_values, lag)
         fit = ols_fit(design, y)
         gain = float(fit.effects[1 + lag :] @ fit.effects[1 + lag :])
         if fit.ssr <= 0.0:
@@ -160,6 +163,8 @@ def granger_test(
         else:
             f_stat = (gain / lag) / (fit.ssr / df_den)
         p_value = f_survival(f_stat, lag, df_den)
+        with np.errstate(over="ignore"):  # inf only past the float range
+            ssr_r, ssr_u = np.ldexp([fit.ssr + gain, fit.ssr], 2 * exps[0]).tolist()
         per_lag.append(
             LagResult(
                 lag=lag,
@@ -167,8 +172,8 @@ def granger_test(
                 df_num=lag,
                 df_den=df_den,
                 p_value=p_value,
-                ssr_restricted=fit.ssr + gain,
-                ssr_unrestricted=fit.ssr,
+                ssr_restricted=ssr_r,
+                ssr_unrestricted=ssr_u,
             )
         )
 

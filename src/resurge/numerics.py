@@ -1,4 +1,5 @@
-"""Numerical kernels: least squares, F-distribution tails, damped Gauss-Newton.
+"""Numerical kernels: least squares, F-distribution tails, and damped
+Gauss-Newton over two bounded parameters.
 
 Everything here is self-contained on top of numpy so the statistical results
 do not depend on the version of any external stats library.
@@ -40,26 +41,15 @@ class OlsSolution:
     ssr: float
     effects: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name in ("coefficients", "effects"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
 
 @dataclass(frozen=True)
 class NlsFit:
     """Outcome of a damped Gauss-Newton run."""
 
-    params: np.ndarray
+    params: tuple[float, float]
     residual_norm: float
     iterations: int
     converged: bool
-
-    def __post_init__(self) -> None:
-        params = np.array(self.params, dtype=np.float64)
-        params.setflags(write=False)
-        object.__setattr__(self, "params", params)
 
 
 def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsSolution:
@@ -178,23 +168,6 @@ def f_survival(f: float, d1: int, d2: int) -> float:
     return regularized_incomplete_beta(x, d2 / 2.0, d1 / 2.0)
 
 
-def _expand_bounds(
-    bounds: Sequence[tuple[float, float]] | None, n: int
-) -> tuple[list[float], list[float]]:
-    if bounds is None:
-        return [-math.inf] * n, [math.inf] * n
-    lo = [float(pair[0]) for pair in bounds]
-    hi = [float(pair[1]) for pair in bounds]
-    if len(lo) != n:
-        raise ValueError("bounds length must match parameter count")
-    # a NaN bound would compare false both ways and clamp nothing
-    if any(map(math.isnan, lo + hi)):
-        raise ValueError("bounds must not be NaN")
-    if any(a > b for a, b in zip(lo, hi)):
-        raise ValueError("lower bound exceeds upper bound")
-    return lo, hi
-
-
 def _evaluate(model, x: list[float]) -> tuple[list[list[float]], list[float], float]:
     """JᵀJ and Jᵀr as nested lists of floats, and ||r||, at x.
 
@@ -209,63 +182,60 @@ def _evaluate(model, x: list[float]) -> tuple[list[list[float]], list[float], fl
 
 
 def _damped_step(jtj: list[list[float]], grad: list[float], lam: float) -> list[float] | None:
-    """The s solving (JᵀJ + lam·I) s = -Jᵀr, by Cholesky on Python floats.
+    """The s solving (JᵀJ + lam·I) s = -Jᵀr, by 2×2 Cholesky on Python floats.
 
     None when a pivot is not positive, as when the damped matrix is not
     positive definite to working precision, or when s is not finite.
     """
-    n = len(grad)
-    chol: list[list[float]] = []  # row i holds L[i][0..i]
-    for i in range(n):
-        row = []
-        for j in range(i):
-            other = chol[j]
-            row.append((jtj[i][j] - sum([row[k] * other[k] for k in range(j)])) / other[j])
-        pivot = jtj[i][i] + lam - sum([v * v for v in row])
-        if not pivot > 0.0:
-            return None
-        row.append(math.sqrt(pivot))
-        chol.append(row)
+    pivot = jtj[0][0] + lam
+    if not pivot > 0.0:
+        return None
+    l00 = math.sqrt(pivot)
+    l10 = jtj[1][0] / l00
+    pivot = jtj[1][1] + lam - l10 * l10
+    if not pivot > 0.0:
+        return None
+    l11 = math.sqrt(pivot)
     # L y = -grad, then Lᵀ s = y
-    y: list[float] = []
-    for i in range(n):
-        y.append((-grad[i] - sum([chol[i][k] * y[k] for k in range(i)])) / chol[i][i])
-    step = [0.0] * n
-    for i in reversed(range(n)):
-        step[i] = (y[i] - sum([chol[k][i] * step[k] for k in range(i + 1, n)])) / chol[i][i]
-    return step if all(map(math.isfinite, step)) else None
+    y0 = -grad[0] / l00
+    s1 = (-grad[1] - l10 * y0) / l11 / l11
+    s0 = (y0 - l10 * s1) / l00
+    return [s0, s1] if math.isfinite(s0) and math.isfinite(s1) else None
 
 
 def damped_least_squares(
     model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     init: np.ndarray,
-    bounds: Sequence[tuple[float, float]] | None = None,
-    max_iter: int = 100,
-    tol: float = 1e-10,
+    bounds: Sequence[tuple[float, float]],
+    max_iter: int,
+    tol: float,
 ) -> NlsFit:
-    """Minimize ||r(params)||^2 by Gauss-Newton steps with adaptive damping.
+    """Minimize ||r(params)||^2 over two parameters in a box, by Gauss-Newton
+    steps with adaptive damping.
 
-    ``model(params)`` returns r and its Jacobian as arrays (one row per
-    residual, one column per parameter).  It runs once at ``init`` and once
-    per trial point.  A non-finite r or Jacobian is a ValueError at ``init``
-    and rejects a trial.
+    ``init`` holds two starting values and ``bounds`` a (lower, upper) pair
+    for each; another length, or an ``init`` outside its pair (as with any
+    NaN or inverted pair), is a ValueError.  ``model(params)`` returns r and
+    its Jacobian as arrays (one row per residual, one column per parameter).
+    It runs once at ``init`` and once per trial point.  A non-finite r or
+    Jacobian is a ValueError at ``init`` and rejects a trial.
 
-    Each step solves the damped normal equations by a Cholesky factorization
+    Each step solves the damped 2×2 normal equations by closed-form Cholesky
     on Python floats; a pivot that is not positive, or a non-finite step,
     rejects the step.  The damping factor multiplies by 10 whenever a step is
     rejected, as when it increases the residual norm, and divides by 10 on a
-    decrease.  Steps are clamped to ``bounds``, which must not be NaN.
-    Converged when the relative residual-norm improvement of an accepted step
-    falls below ``tol`` or the step norm does.  The returned residual norm
-    never exceeds the norm at ``init``; a run that hits ``max_iter`` returns
-    the best iterate with converged=False.
+    decrease.  Steps are clamped to ``bounds``.  Converged when the relative
+    residual-norm improvement of an accepted step falls below ``tol`` or the
+    step norm does.  The returned residual norm never exceeds the norm at
+    ``init``; a run that hits ``max_iter`` returns the best iterate with
+    converged=False.
     """
-    init = np.asarray(init, dtype=np.float64)
-    if init.ndim != 1 or init.size < 1:
-        raise ValueError("init must be a non-empty 1-d array")
-    lo, hi = _expand_bounds(bounds, init.size)
-    x = init.tolist()
-    if any(v < a or v > b for v, a, b in zip(x, lo, hi)):
+    x = [float(v) for v in init]
+    lo = [float(a) for a, _ in bounds]
+    hi = [float(b) for _, b in bounds]
+    if len(x) != 2 or len(lo) != 2:
+        raise ValueError("init and bounds must each have two entries")
+    if not all(a <= v <= b for v, a, b in zip(x, lo, hi)):
         raise ValueError("init must lie within bounds")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -295,4 +265,4 @@ def damped_least_squares(
             converged = True
             break
 
-    return NlsFit(params=x, residual_norm=cost, iterations=iterations, converged=converged)
+    return NlsFit(params=tuple(x), residual_norm=cost, iterations=iterations, converged=converged)

@@ -8,8 +8,9 @@ LCS-based edit distance and a catalog matcher that scores every entry with
 it, a Runge-Kutta integration of the diffusion ODE, and
 central differences instead of the analytic Jacobian.  It also holds earlier
 forms of package code: ``damped_step_solve``, the Gauss-Newton step by
-``np.linalg.solve``; ``bass_jacobian_reference``, the diffusion Jacobian term
-by term; ``write_report_reference``, the package's report writer as it
+``np.linalg.solve``; ``damped_step_cholesky_loop``, the same step by a
+Cholesky loop for any number of parameters; ``bass_jacobian_reference``,
+the diffusion Jacobian term by term; ``write_report_reference``, the package's report writer as it
 was when each row went through ``json.dumps`` or ``csv.writer``; and
 ``write_series_file_reference``, the series writer as it was when each row
 went through ``datetime.date``.  Last,
@@ -293,6 +294,38 @@ def damped_step_solve(jtj, grad, lam: float) -> np.ndarray:
     """
     a = np.asarray(jtj, dtype=np.float64)
     return np.linalg.solve(a + lam * np.eye(a.shape[0]), -np.asarray(grad, dtype=np.float64))
+
+
+def damped_step_cholesky_loop(
+    jtj: list[list[float]], grad: list[float], lam: float
+) -> list[float] | None:
+    """The s solving (JᵀJ + lam·I) s = -Jᵀr, by Cholesky on Python floats.
+
+    The package's damped step for any number of parameters, before it took
+    the closed form for two.  None when a pivot is not positive, as when the
+    damped matrix is not positive definite to working precision, or when s
+    is not finite.
+    """
+    n = len(grad)
+    chol: list[list[float]] = []  # row i holds L[i][0..i]
+    for i in range(n):
+        row = []
+        for j in range(i):
+            other = chol[j]
+            row.append((jtj[i][j] - sum([row[k] * other[k] for k in range(j)])) / other[j])
+        pivot = jtj[i][i] + lam - sum([v * v for v in row])
+        if not pivot > 0.0:
+            return None
+        row.append(math.sqrt(pivot))
+        chol.append(row)
+    # L y = -grad, then Lᵀ s = y
+    y: list[float] = []
+    for i in range(n):
+        y.append((-grad[i] - sum([chol[i][k] * y[k] for k in range(i)])) / chol[i][i])
+    step = [0.0] * n
+    for i in reversed(range(n)):
+        step[i] = (y[i] - sum([chol[k][i] * step[k] for k in range(i + 1, n)])) / chol[i][i]
+    return step if all(map(math.isfinite, step)) else None
 
 
 def bass_jacobian_reference(theta: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -145,6 +145,37 @@ def test_affine_rescaling_invariance():
                     assert abs(a.p_value - b.p_value) <= 1e-8
 
 
+@pytest.mark.filterwarnings("error")
+def test_extreme_units_change_nothing(capfd):
+    """Scaling by 2**k, k up to ±1000, keeps F, p and the verdict bit for bit
+    and reports each ssr in the data's units (inf or 0.0 only past the float
+    range); scaling by 10**±160 keeps the verdict.  Nothing is printed."""
+    for seed in (2, 3):
+        source_values, target_values, _ = oracles.synth_pair_values(seed)
+        base = granger_test(ts(source_values), ts(target_values))
+        for k_source, k_target in [
+            (0, 1000), (1000, 0), (0, -1000), (-1000, 0), (1000, 1000), (-1000, -1000),
+            (1000, -1000), (-1000, 1000), (520, -520), (-200, 200), (200, 200),
+        ]:
+            scaled = granger_test(
+                ts(np.ldexp(source_values, k_source)), ts(np.ldexp(target_values, k_target))
+            )
+            assert scaled.causal == base.causal
+            for a, b in zip(base.per_lag, scaled.per_lag):
+                assert (b.f_stat, b.p_value) == (a.f_stat, a.p_value)
+                with np.errstate(over="ignore"):
+                    expected = np.ldexp([a.ssr_restricted, a.ssr_unrestricted], 2 * k_target)
+                assert [b.ssr_restricted, b.ssr_unrestricted] == expected.tolist()
+        for k_source, k_target in [(160, 0), (0, 160), (-160, 0), (0, -160), (160, -160)]:
+            scaled = granger_test(
+                ts(10.0**k_source * source_values), ts(10.0**k_target * target_values)
+            )
+            assert scaled.causal == base.causal
+            for a, b in zip(base.per_lag, scaled.per_lag):
+                assert abs(a.f_stat - b.f_stat) <= 1e-8 * max(1.0, abs(a.f_stat))
+    assert capfd.readouterr().err == ""
+
+
 def test_null_lag1_pvalues_roughly_uniform():
     hits = 0
     for seed in range(200):

@@ -251,13 +251,17 @@ def test_fd_jacobian_of_linear_map_is_exact():
     np.testing.assert_allclose(jac, A, rtol=0, atol=1e-8)
 
 
+# the solver takes two parameters; a test that wants one unbounded passes this
+UNBOUNDED = (-math.inf, math.inf)
+
+
 def test_damped_ls_zero_residual_is_fixed_point():
     init = np.array([0.7, -0.3])
 
     def model(p):
         return np.zeros(4)
 
-    fit = damped_least_squares(with_fd_jacobian(model), init)
+    fit = damped_least_squares(with_fd_jacobian(model), init, [UNBOUNDED] * 2, 100, 1e-10)
     assert fit.converged
     assert fit.iterations <= 1
     np.testing.assert_array_equal(fit.params, init)
@@ -266,12 +270,14 @@ def test_damped_ls_zero_residual_is_fixed_point():
 
 def test_damped_ls_quadratic_root():
     def model(p):
-        return np.array([p[0] ** 2 - 4.0])
+        return np.array([p[0] ** 2 - 4.0, p[1] - 1.0])
 
     fit = damped_least_squares(
         with_fd_jacobian(model),
-        np.array([1.0]),
-        bounds=[(0.0, 10.0)],
+        np.array([1.0, 0.0]),
+        [(0.0, 10.0), UNBOUNDED],
+        100,
+        1e-10,
     )
     assert fit.converged
     assert fit.params[0] == pytest.approx(2.0, abs=1e-8)
@@ -279,34 +285,36 @@ def test_damped_ls_quadratic_root():
 
 def test_damped_ls_invalid_start():
     def model(p):
-        return np.array([math.nan])
+        return np.array([math.nan, p[1]])
 
     with pytest.raises(ValueError, match="invalid starting point"):
-        damped_least_squares(with_fd_jacobian(model), np.array([1.0]))
+        damped_least_squares(
+            with_fd_jacobian(model), np.array([1.0, 0.0]), [UNBOUNDED] * 2, 100, 1e-10
+        )
 
 
 def test_damped_ls_non_finite_jacobian_at_start():
     def model(p):
-        return np.array([p[0] - 3.0]), np.array([[math.nan]])
+        return np.array([p[0] - 3.0, p[1]]), np.array([[math.nan, 0.0], [0.0, 1.0]])
 
     with pytest.raises(ValueError, match="invalid starting point"):
-        damped_least_squares(model, np.array([0.0]))
+        damped_least_squares(model, np.array([0.0, 0.0]), [UNBOUNDED] * 2, 100, 1e-10)
 
 
 @pytest.mark.parametrize("broken", ["residual", "jacobian"])
 def test_damped_ls_rejects_non_finite_trial(broken):
     # the root at 3 lies where the model is non-finite: every step past 1 must be
-    # rejected, so the fit stops short of the root
+    # rejected, so the fit stops short of the root; the second residual is 0 at init
     def model(p):
-        resid, jac = np.array([p[0] - 3.0]), np.array([[1.0]])
+        resid, jac = np.array([p[0] - 3.0, p[1]]), np.eye(2)
         if p[0] > 1.0:
             if broken == "residual":
-                resid = np.array([math.nan])
+                resid = np.array([math.nan, p[1]])
             else:
-                jac = np.array([[math.nan]])
+                jac = np.array([[math.nan, 0.0], [0.0, 1.0]])
         return resid, jac
 
-    fit = damped_least_squares(model, np.array([0.0]), bounds=[(0.0, 10.0)], max_iter=50)
+    fit = damped_least_squares(model, np.array([0.0, 0.0]), [(0.0, 10.0), UNBOUNDED], 50, 1e-10)
     assert 0.0 < fit.params[0] <= 1.0
     assert fit.residual_norm == 3.0 - fit.params[0]
 
@@ -321,83 +329,120 @@ def test_damped_ls_evaluates_model_once_per_iterate():
         costs.append(float(np.linalg.norm(resid)))
         return resid, jac
 
-    fit = damped_least_squares(model, np.array([-1.2, 1.0]), max_iter=200)
+    fit = damped_least_squares(model, np.array([-1.2, 1.0]), [UNBOUNDED] * 2, 200, 1e-10)
     assert fit.converged
     assert len(costs) == fit.iterations + 1
     assert any(cost > min(costs[:i]) for i, cost in enumerate(costs) if i)
 
 
+@pytest.mark.parametrize("init, bounds", [
+    ([0.5], [(0.0, 1.0)]),
+    ([0.5, 0.0], [(0.0, 1.0)]),
+    ([0.5], [(0.0, 1.0), UNBOUNDED]),
+    ([0.5, 0.0, 0.0], [(0.0, 1.0), UNBOUNDED, UNBOUNDED]),
+], ids=["one", "one_bound", "one_init", "three"])
+def test_damped_ls_takes_exactly_two_parameters(init, bounds):
+    def model(p):
+        return np.array([p[0] + 3.0]), np.ones((1, len(p)))
+
+    with pytest.raises(ValueError, match="two entries"):
+        damped_least_squares(model, np.array(init), bounds, 100, 1e-10)
+
+
 def test_damped_ls_init_outside_bounds():
     def model(p):
-        return np.array([p[0]])
+        return np.array([p[0], p[1]])
 
     with pytest.raises(ValueError, match="within bounds"):
         damped_least_squares(
-            with_fd_jacobian(model), np.array([2.0]), bounds=[(0.0, 1.0)]
+            with_fd_jacobian(model), np.array([2.0, 0.0]), [(0.0, 1.0), UNBOUNDED], 100, 1e-10
         )
 
 
 def test_damped_ls_rejects_nan_bounds():
+    # a NaN bound or an inverted pair contains no starting value
     def model(p):
-        return np.array([p[0] + 3.0])
+        return np.array([p[0] + 3.0, p[1]])
 
-    for bounds in ([(math.nan, 1.0)], [(0.0, math.nan)]):
-        with pytest.raises(ValueError, match="bounds must not be NaN"):
-            damped_least_squares(with_fd_jacobian(model), np.array([0.5]), bounds=bounds)
+    for bounds in (
+        [(math.nan, 1.0), UNBOUNDED],
+        [(0.0, math.nan), UNBOUNDED],
+        [(0.0, 1.0), (-math.inf, math.nan)],
+        [(1.0, 0.0), UNBOUNDED],
+    ):
+        with pytest.raises(ValueError, match="within bounds"):
+            damped_least_squares(
+                with_fd_jacobian(model), np.array([0.5, 0.0]), bounds, 100, 1e-10
+            )
 
 
 def test_damped_ls_respects_bounds():
     # unconstrained minimum sits at -3, outside the box
     def model(p):
-        return np.array([p[0] + 3.0])
+        return np.array([p[0] + 3.0, p[1]])
 
     fit = damped_least_squares(
         with_fd_jacobian(model),
-        np.array([0.5]),
-        bounds=[(0.0, 1.0)],
-        max_iter=50,
+        np.array([0.5, 0.0]),
+        [(0.0, 1.0), UNBOUNDED],
+        50,
+        1e-10,
     )
     assert 0.0 <= fit.params[0] <= 1.0
 
 
-@given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32 - 1), st.floats(-12.0, 3.0))
+@given(st.integers(0, 4), st.integers(0, 2**32 - 1), st.floats(-12.0, 3.0))
 @settings(max_examples=200, deadline=None)
-def test_damped_step_matches_the_solve_reference(n, extra_rows, seed, log_lam):
+def test_damped_step_matches_the_solve_reference(extra_rows, seed, log_lam):
     rng = np.random.default_rng(seed)
-    J = rng.normal(size=(n + extra_rows, n))
-    r = rng.normal(size=n + extra_rows)
+    J = rng.normal(size=(2 + extra_rows, 2))
+    r = rng.normal(size=2 + extra_rows)
     lam = 10.0**log_lam
     jtj, grad = J.T @ J, J.T @ r
     # well-conditioned, so both routes are within rounding of the exact step
-    assume(np.linalg.cond(jtj + lam * np.eye(n)) < 1e4)
+    assume(np.linalg.cond(jtj + lam * np.eye(2)) < 1e4)
     step = _damped_step(jtj.tolist(), grad.tolist(), lam)
     expected = oracles.damped_step_solve(jtj, grad, lam)
     np.testing.assert_allclose(step, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
 
 
+# every float, NaN, infinities and subnormals included, or a moderate one
+ANY_FLOAT = st.floats() | st.floats(-10.0, 10.0)
+
+
+@given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT | st.floats(0.0, 1e12))
+@settings(max_examples=1000, deadline=None)
+def test_damped_step_is_the_cholesky_loop(a, b, d, g0, g1, lam):
+    # the closed form does the loop's float operations in the loop's order
+    jtj, grad = [[a, b], [b, d]], [g0, g1]
+    step = _damped_step(jtj, grad, lam)
+    expected = oracles.damped_step_cholesky_loop(jtj, grad, lam)
+    assert (step is None) == (expected is None)
+    assert step == expected
+
+
 @given(
-    st.lists(st.floats(0.01, 10.0) | st.floats(-10.0, -0.01), min_size=1, max_size=4),
+    st.lists(st.floats(0.01, 10.0) | st.floats(-10.0, -0.01), min_size=2, max_size=2),
     st.floats(0.0, 5.0),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
 def test_damped_step_rejects_exactly_the_indefinite_damped_matrices(damped_eigs, lam, seed):
     # JᵀJ is built so that JᵀJ + lam·I has these eigenvalues, all well away from 0
-    n = len(damped_eigs)
     rng = np.random.default_rng(seed)
-    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    rotation, _ = np.linalg.qr(rng.normal(size=(2, 2)))
     jtj = (rotation * (np.array(damped_eigs) - lam)) @ rotation.T
     jtj = (jtj + jtj.T) / 2.0
-    step = _damped_step(jtj.tolist(), rng.normal(size=n).tolist(), lam)
+    step = _damped_step(jtj.tolist(), rng.normal(size=2).tolist(), lam)
     assert (step is None) == (min(damped_eigs) < 0.0)
 
 
 @pytest.mark.parametrize("jtj, grad, lam", [
     ([[4.0, 4.0], [4.0, 4.0]], [1.0, 1.0], 0.0),  # singular: the second pivot is 0
-    ([[1e-300]], [1e300], 0.0),  # positive definite, but the step overflows
+    ([[1e-300, 0.0], [0.0, 1.0]], [1e300, 1.0], 0.0),  # positive definite, but the step overflows
     ([[1.0, 0.0], [0.0, 1e-300]], [1.0, 1e300], 0.0),
     ([[1.0, math.nan], [math.nan, 1.0]], [1.0, 1.0], 1e-3),
-    ([[1.0]], [math.inf], 1e-3),
+    ([[1.0, 0.0], [0.0, 1.0]], [math.inf, 1.0], 1e-3),
 ], ids=["singular", "overflow", "overflow_2d", "nan_matrix", "inf_gradient"])
 def test_damped_step_rejects_what_the_solve_reference_cannot_take(jtj, grad, lam):
     assert _damped_step(jtj, grad, lam) is None
@@ -419,7 +464,7 @@ def test_damped_ls_never_worse_than_init(seed):
     def model(p):
         return A @ p - b
 
-    fit = damped_least_squares(with_fd_jacobian(model), init, max_iter=20)
+    fit = damped_least_squares(with_fd_jacobian(model), init, [UNBOUNDED] * 2, 20, 1e-10)
     assert fit.residual_norm <= np.linalg.norm(A @ init - b) + 1e-12
 
 
