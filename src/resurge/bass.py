@@ -7,6 +7,12 @@ F(0) = 0, where b = F' is the instantaneous fraction.  In closed form
 
 Fits run on the cumulative curve normalized to end at 1, so the market-size
 parameter is fixed at one and only (p, q) remain free.
+
+A batch of fits is refined in one lockstep Gauss-Newton solve: the windows
+are laid end to end in one flat array, each solver run evaluates and sums
+over its own window alone, and work arrays are sized once for every run and
+reused.  A fit is therefore bit for bit the same whichever fits share its
+batch, and ``fit_cumulative`` and ``fit_bass`` are batches of one.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .numerics import NlsFit, damped_least_squares
+from .numerics import damped_least_squares
 from .series import TimeSeries, cumulative_normalized
 
 __all__ = [
@@ -53,6 +59,12 @@ MIN_FIT_POINTS = 20
 _REFINE_STARTS = 3
 _FIT_MAX_ITER = 200
 _FIT_TOL = 1e-12
+
+# where x = (p + q) t lies below this, dF/dq sums x + expm1(-x) as a series
+_SERIES_CUTOFF = 0.1
+# 1/k! for k = 11 down to 2: Horner coefficients of (x + expm1(-x)) / x² in -x;
+# the first term left out is below 1e-17 of the sum for |x| < _SERIES_CUTOFF
+_SERIES_COEFFS = tuple(1.0 / math.factorial(k) for k in range(11, 1, -1))
 
 
 @dataclass(frozen=True)
@@ -120,27 +132,58 @@ def _cumulative_for(p: float, q: float, times: np.ndarray) -> np.ndarray:
     return (1.0 - decay) / (1.0 + (q / p) * decay)
 
 
-def _cumulative_and_jacobian(theta: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F(t) and its Jacobian w.r.t. (p, q), both from one ``decay`` array.
+def _x_plus_expm1_neg(x: np.ndarray) -> np.ndarray:
+    """x + expm1(-x) = x²/2! - x³/3! + ... for |x| below ``_SERIES_CUTOFF``."""
+    y = -x
+    acc = np.full_like(x, _SERIES_COEFFS[0])
+    for coeff in _SERIES_COEFFS[1:]:
+        acc *= y
+        acc += coeff
+    return acc * x * x
+
+
+def _cumulative_and_jacobian(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(t) and its Jacobian w.r.t. (p, q), one row per parameter, from one
+    ``decay`` array.
+
+    ``work`` has six rows and a column per point; its first three rows hold
+    p, q and t on entry.  It is overwritten, and the results are views of
+    it, so no array of the points' size is allocated.
 
     F takes the float operations of ``_cumulative_for``, so the two agree bit
     for bit.  The derivative is analytic because finite differences probe
     outside p > 0 near the lower bound.  With r = q/p, denom = 1 + r decay,
     s = decay / denom², u = (1 + r) t and v = (1 - decay) / p,
-    dF/dp = (u + r v) s and dF/dq = (u - v) s.
+    dF/dp = (u + r v) s and dF/dq = (u - v) s.  With x = (p + q) t,
+    u - v = (x + expm1(-x)) / p, which the subtraction loses to cancellation
+    where x is small; there it is summed as a series instead.
     """
-    p, q = float(theta[0]), float(theta[1])
-    decay = np.exp(-(p + q) * times)
-    ratio = q / p
-    one_minus = 1.0 - decay
-    denom = 1.0 + ratio * decay
-    scale = decay / (denom * denom)
-    u = (1.0 + ratio) * times
-    v = one_minus / p
-    jac = np.empty((times.size, 2))
-    np.multiply(u + ratio * v, scale, out=jac[:, 0])
-    np.multiply(u - v, scale, out=jac[:, 1])
-    return one_minus / denom, jac
+    p, q, t, x, decay, denom = work
+    np.add(p, q, out=x)
+    x *= t
+    np.negative(x, out=decay)
+    np.exp(decay, out=decay)
+    np.abs(x, out=denom)
+    small = np.flatnonzero(denom < _SERIES_CUTOFF)
+    small_diff = _x_plus_expm1_neg(x[small]) / p[small]
+    ratio = np.divide(q, p, out=q)
+    one_minus = np.subtract(1.0, decay, out=x)
+    np.multiply(ratio, decay, out=denom)
+    denom += 1.0
+    v = np.divide(one_minus, p, out=p)
+    curve = np.divide(one_minus, denom, out=x)
+    np.multiply(denom, denom, out=denom)
+    scale = np.divide(decay, denom, out=decay)
+    u = np.add(ratio, 1.0, out=denom)
+    u *= t
+    # dF/dp overwrites r, dF/dq overwrites t
+    np.multiply(ratio, v, out=q)
+    q += u
+    q *= scale
+    np.subtract(u, v, out=t)
+    t[small] = small_diff
+    t *= scale
+    return curve, work[1:3]
 
 
 def bass_cumulative(params: BassParams, t):
@@ -166,6 +209,91 @@ def bass_instantaneous(params: BassParams, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
+def _window_model(times: np.ndarray, observed: np.ndarray, starts: np.ndarray,
+                  sizes: np.ndarray, run_window: np.ndarray):
+    """The solver's model over windows laid end to end in ``times`` and
+    ``observed``; run i fits window ``run_window[i]``.
+
+    Its work rows are sized for every run at once and reused by each call.
+    """
+    work = np.empty((6, int(sizes[run_window].sum())))
+
+    def model(params: np.ndarray, runs: np.ndarray):
+        windows = run_window[runs]
+        lengths = sizes[windows]
+        ends = np.cumsum(lengths)
+        run_starts = ends - lengths
+        n = int(ends[-1])
+        # the flat index of every point of the listed runs, run after run
+        index = np.repeat(starts[windows] - run_starts, lengths)
+        index += np.arange(n)
+        rows = work[:, :n]
+        rows[0] = np.repeat(params[:, 0], lengths)
+        rows[1] = np.repeat(params[:, 1], lengths)
+        np.take(times, index, out=rows[2])
+        curve, jac = _cumulative_and_jacobian(rows)
+        curve -= np.take(observed, index, out=rows[0])
+        return curve, jac, run_starts
+
+    return model
+
+
+def _fit_windows(windows: list[tuple[np.ndarray, np.ndarray]]) -> list[BassFit]:
+    """Least-squares (p, q) for each (times, observed) window, all refined in
+    one lockstep solve.
+
+    Every grid start of every window is scored by its residual norm; the best
+    few of each window are refined, and its smallest refined residual wins
+    (the earlier start on ties), so a fit never trails any grid start.  A
+    window with no start of finite residual norm is a ValueError.
+    """
+    sizes = np.array([times.size for times, _ in windows])
+    starts = np.cumsum(sizes) - sizes
+    times = np.concatenate([times for times, _ in windows])
+    observed = np.concatenate([values for _, values in windows])
+
+    norms = np.empty((len(_GRID), len(windows)))
+    for row, (p, q) in zip(norms, _GRID.tolist()):
+        resid = _cumulative_for(p, q, times) - observed
+        np.sqrt(np.add.reduceat(resid * resid, starts), out=row)
+    usable = np.isfinite(norms)
+    if not usable.any(axis=0).all():
+        raise ValueError("unfittable series")
+    # (rank, window) -> grid start, unusable starts ranked last
+    ranked = np.argsort(np.where(usable, norms, np.inf), axis=0, kind="stable")[:_REFINE_STARTS]
+    run_window, run_rank = np.nonzero(np.take_along_axis(usable, ranked, axis=0).T)
+
+    result = damped_least_squares(
+        _window_model(times, observed, starts, sizes, run_window),
+        _GRID[ranked[run_rank, run_window]],
+        bounds=[P_BOUNDS, Q_BOUNDS],
+        max_iter=_FIT_MAX_ITER,
+        tol=_FIT_TOL,
+    )
+    refined = np.full((len(windows), _REFINE_STARTS), np.inf)
+    refined[run_window, run_rank] = result.residual_norm
+    best_rank = np.argmin(refined, axis=1)
+    run_of = np.zeros((len(windows), _REFINE_STARTS), dtype=np.intp)
+    run_of[run_window, run_rank] = np.arange(run_window.size)
+    best = run_of[np.arange(len(windows)), best_rank]
+
+    return [
+        BassFit(
+            params=BassParams(p=p, q=q),
+            residual_norm=norm,
+            rmse=norm / math.sqrt(n_points),
+            converged=converged,
+            n_points=n_points,
+        )
+        for (p, q), norm, converged, n_points in zip(
+            result.params[best].tolist(),
+            result.residual_norm[best].tolist(),
+            result.run_converged[best].tolist(),
+            sizes.tolist(),
+        )
+    ]
+
+
 def fit_cumulative(times: np.ndarray, observed: np.ndarray) -> BassFit:
     """Least-squares (p, q) for observed cumulative fractions at given times.
 
@@ -179,64 +307,54 @@ def fit_cumulative(times: np.ndarray, observed: np.ndarray) -> BassFit:
         raise ValueError("times and observed must be 1-d arrays of equal length")
     if times.size < 2:
         raise ValueError("need at least two observations to fit")
-
-    def model(theta: np.ndarray):
-        curve, jac = _cumulative_and_jacobian(theta, times)
-        return curve - observed, jac
-
-    # every grid start at once: one row of residuals per (p, q) pair
-    starts = _cumulative_for(_GRID[:, :1], _GRID[:, 1:], times) - observed
-    finite = np.isfinite(starts).all(axis=1)
-    if not finite.any():
-        raise ValueError("unfittable series")
-    norms = np.linalg.norm(starts[finite], axis=1)
-    scored = sorted(zip(norms.tolist(), np.flatnonzero(finite).tolist()))
-
-    best: NlsFit | None = None
-    for _, start in scored[:_REFINE_STARTS]:
-        fit = damped_least_squares(
-            model,
-            _GRID[start],
-            bounds=[P_BOUNDS, Q_BOUNDS],
-            max_iter=_FIT_MAX_ITER,
-            tol=_FIT_TOL,
-        )
-        if best is None or fit.residual_norm < best.residual_norm:
-            best = fit
-
-    params = BassParams(p=float(best.params[0]), q=float(best.params[1]))
-    return BassFit(
-        params=params,
-        residual_norm=best.residual_norm,
-        rmse=best.residual_norm / math.sqrt(times.size),
-        converged=best.converged,
-        n_points=int(times.size),
-    )
+    return _fit_windows([(times, observed)])[0]
 
 
-def fit_bass(series: TimeSeries) -> BassFit:
-    """Fit a diffusion curve to one peak-focused popularity window."""
+def _window(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Day offsets and cumulative fractions of one popularity window."""
     if len(series) < MIN_FIT_POINTS:
         raise ValueError(
             f"series too short for diffusion fit (need >= {MIN_FIT_POINTS} points)"
         )
-    fractions = cumulative_normalized(series)  # rejects an all-zero window
-    times = (series.days - series.days[0]).astype(np.float64)
-    return fit_cumulative(times, fractions.values)
+    fractions = cumulative_normalized(series).values  # rejects an all-zero window
+    # a total that overflows leaves no finite fraction to fit; the check is
+    # made here so that batch_bass reports it before the solve, in record order
+    if not np.isfinite(fractions).all():
+        raise ValueError("unfittable series")
+    return (series.days - series.days[0]).astype(np.float64), fractions
+
+
+def fit_bass(series: TimeSeries) -> BassFit:
+    """Fit a diffusion curve to one peak-focused popularity window."""
+    return _fit_windows([_window(series)])[0]
 
 
 def batch_bass(records: Iterable) -> BassBatch:
-    """Fit both platforms of each record, capturing per-song failures."""
-    items = []
+    """Fit both platforms of each record, capturing per-song failures.
+
+    Every record is windowed first, in order; then all fits are refined in
+    one solve.  Each fit is bit for bit what ``fit_bass`` gives on its window
+    alone.
+    """
+    songs = []
+    windows = []
     for record in records:
         try:
-            sv = fit_bass(record.short_video_series)
+            sv = _window(record.short_video_series)
             if record.web_search_series is None:
                 raise ValueError("record has no web-search series")
-            ws = fit_bass(record.web_search_series)
-            items.append(
-                BassItem(song_id=record.song_id, short_video=sv, web_search=ws)
-            )
+            ws = _window(record.web_search_series)
         except (ValueError, ArithmeticError) as exc:
-            items.append(BassItem(song_id=record.song_id, error=str(exc)))
-    return BassBatch(items=tuple(items))
+            songs.append((record.song_id, str(exc)))
+            continue
+        songs.append((record.song_id, None))
+        windows += [sv, ws]
+    fits = iter(_fit_windows(windows) if windows else ())
+    return BassBatch(
+        items=tuple(
+            BassItem(song_id=song_id, error=error)
+            if error is not None
+            else BassItem(song_id=song_id, short_video=next(fits), web_search=next(fits))
+            for song_id, error in songs
+        )
+    )

@@ -1,5 +1,5 @@
 """Numerical kernels: least squares, F-distribution tails, and damped
-Gauss-Newton over two bounded parameters.
+Gauss-Newton over two bounded parameters, for many runs in lockstep.
 
 Everything here is self-contained on top of numpy so the statistical results
 do not depend on the version of any external stats library.
@@ -15,7 +15,7 @@ import numpy as np
 
 __all__ = [
     "OlsSolution",
-    "NlsFit",
+    "NlsBatch",
     "ols_fit",
     "regularized_incomplete_beta",
     "f_survival",
@@ -43,13 +43,25 @@ class OlsSolution:
 
 
 @dataclass(frozen=True)
-class NlsFit:
-    """Outcome of a damped Gauss-Newton run."""
+class NlsBatch:
+    """Outcome of a lockstep damped Gauss-Newton solve, one entry per run.
 
-    params: tuple[float, float]
-    residual_norm: float
-    iterations: int
-    converged: bool
+    ``iterations`` and ``converged`` summarize the batch: the iterates of all
+    runs summed, and whether every run converged.
+    """
+
+    params: np.ndarray  # (runs, 2)
+    residual_norm: np.ndarray
+    run_iterations: np.ndarray
+    run_converged: np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        return int(self.run_iterations.sum())
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.run_converged.all())
 
 
 def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsSolution:
@@ -168,101 +180,154 @@ def f_survival(f: float, d1: int, d2: int) -> float:
     return regularized_incomplete_beta(x, d2 / 2.0, d1 / 2.0)
 
 
-def _evaluate(model, x: list[float]) -> tuple[list[list[float]], list[float], float]:
-    """JᵀJ and Jᵀr as nested lists of floats, and ||r||, at x.
+# the damping factor starts here and stays within [_LAM_MIN, _LAM_MAX]
+_LAM_START = 1e-3
+_LAM_MIN = 1e-12
+_LAM_MAX = 1e12
 
-    The norm is NaN, and the lists are empty, when r or J is non-finite.
+
+def _normal_sums(
+    resid: np.ndarray, jac: np.ndarray, starts: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """JᵀJ, Jᵀr and rᵀr of each run, and whether its r and J are finite.
+
+    ``resid`` holds the residuals of every run laid end to end, ``jac`` the
+    Jacobian with one row per parameter, and ``starts`` the index where each
+    run's segment begins; ``scratch`` has at least one entry per residual.
+    The sums come back as the rows JᵀJ[0][0], JᵀJ[1][0], JᵀJ[1][1], Jᵀr[0],
+    Jᵀr[1] and rᵀr, one column per run.  Each segment is summed by
+    ``np.add.reduceat`` over its own values alone, so a run's sums do not
+    depend on which runs lie beside it.
     """
-    resid, J = model(np.array(x))
     resid = np.asarray(resid, dtype=np.float64)
-    if not (np.isfinite(resid).all() and np.isfinite(J).all()):
-        return [], [], math.nan
-    # sqrt(r @ r) is what np.linalg.norm computes for a 1-d array
-    return (J.T @ J).tolist(), (J.T @ resid).tolist(), math.sqrt(resid @ resid)
+    jac = np.asarray(jac, dtype=np.float64)
+    product = scratch[: resid.size]
+    sums = np.empty((6, starts.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, (a, b) in zip(sums, ((jac[0], jac[0]), (jac[1], jac[0]), (jac[1], jac[1]),
+                                      (jac[0], resid), (jac[1], resid), (resid, resid))):
+            np.multiply(a, b, out=product)
+            np.add.reduceat(product, starts, out=row)
+    finite = np.isfinite(sums).all(axis=0)
+    # a non-finite entry of r or J makes a sum of squares non-finite; finite
+    # entries can overflow it too, so only those runs are read again
+    for run in np.flatnonzero(~finite).tolist():
+        segment = slice(starts[run], starts[run + 1] if run + 1 < starts.size else resid.size)
+        finite[run] = np.isfinite(resid[segment]).all() and np.isfinite(jac[:, segment]).all()
+    return sums, finite
 
 
-def _damped_step(jtj: list[list[float]], grad: list[float], lam: float) -> list[float] | None:
-    """The s solving (JᵀJ + lam·I) s = -Jᵀr, by 2×2 Cholesky on Python floats.
+def _damped_steps(sums: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The s solving (JᵀJ + lam·I) s = -Jᵀr for each run, by closed-form 2×2
+    Cholesky, and whether that s is usable.
 
-    None when a pivot is not positive, as when the damped matrix is not
+    ``sums`` holds a column of :func:`_normal_sums` rows per run.  A step is
+    unusable when a pivot is not positive, as when the damped matrix is not
     positive definite to working precision, or when s is not finite.
     """
-    pivot = jtj[0][0] + lam
-    if not pivot > 0.0:
-        return None
-    l00 = math.sqrt(pivot)
-    l10 = jtj[1][0] / l00
-    pivot = jtj[1][1] + lam - l10 * l10
-    if not pivot > 0.0:
-        return None
-    l11 = math.sqrt(pivot)
-    # L y = -grad, then Lᵀ s = y
-    y0 = -grad[0] / l00
-    s1 = (-grad[1] - l10 * y0) / l11 / l11
-    s0 = (y0 - l10 * s1) / l00
-    return [s0, s1] if math.isfinite(s0) and math.isfinite(s1) else None
+    a, b, d, g0, g1 = sums[:5]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pivot0 = a + lam
+        l00 = np.sqrt(pivot0)
+        l10 = b / l00
+        pivot1 = d + lam - l10 * l10
+        l11 = np.sqrt(pivot1)
+        # L y = -grad, then Lᵀ s = y
+        y0 = -g0 / l00
+        s1 = (-g1 - l10 * y0) / l11 / l11
+        s0 = (y0 - l10 * s1) / l00
+    usable = (pivot0 > 0.0) & (pivot1 > 0.0) & np.isfinite(s0) & np.isfinite(s1)
+    return np.stack([s0, s1], axis=1), usable
 
 
 def damped_least_squares(
-    model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    model: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
     init: np.ndarray,
     bounds: Sequence[tuple[float, float]],
     max_iter: int,
     tol: float,
-) -> NlsFit:
-    """Minimize ||r(params)||^2 over two parameters in a box, by Gauss-Newton
-    steps with adaptive damping.
+) -> NlsBatch:
+    """Minimize ||r(params)||^2 for each of several runs of two parameters in
+    a box, by Gauss-Newton steps with adaptive damping, all runs in lockstep.
 
-    ``init`` holds two starting values and ``bounds`` a (lower, upper) pair
-    for each; another length, or an ``init`` outside its pair (as with any
-    NaN or inverted pair), is a ValueError.  ``model(params)`` returns r and
-    its Jacobian as arrays (one row per residual, one column per parameter).
-    It runs once at ``init`` and once per trial point.  A non-finite r or
-    Jacobian is a ValueError at ``init`` and rejects a trial.
+    ``init`` holds one row of two starting values per run and ``bounds`` a
+    (lower, upper) pair per parameter, shared by every run; another shape, or
+    an ``init`` outside its pair (as with any NaN or inverted pair), is a
+    ValueError.  ``model(params, runs)`` takes the parameter rows of the runs
+    listed in ``runs`` (ascending) and returns their residuals laid end to
+    end, the Jacobian with one row per parameter and one column per
+    residual, and the index where each run's segment starts.  A run's segment
+    is never empty and has the same length in every call, and the arrays
+    need stay valid only until the next call.  The model runs once for every
+    run at ``init``, then once per iterate for the runs with a usable step.
+    A non-finite r or Jacobian is a ValueError at ``init`` and rejects a
+    trial.
 
-    Each step solves the damped 2×2 normal equations by closed-form Cholesky
-    on Python floats; a pivot that is not positive, or a non-finite step,
-    rejects the step.  The damping factor multiplies by 10 whenever a step is
-    rejected, as when it increases the residual norm, and divides by 10 on a
-    decrease.  Steps are clamped to ``bounds``.  Converged when the relative
-    residual-norm improvement of an accepted step falls below ``tol`` or the
-    step norm does.  The returned residual norm never exceeds the norm at
-    ``init``; a run that hits ``max_iter`` returns the best iterate with
+    Each run keeps its own parameters, damping factor and cost, and the
+    control flow of a run is that of a solve on its own: each step solves the
+    damped 2×2 normal equations by closed-form Cholesky; a pivot that is not
+    positive, or a non-finite step, rejects the step.  The damping factor
+    multiplies by 10 whenever a step is rejected, as when it increases the
+    residual norm, and divides by 10 on a decrease.  Steps are clamped to
+    ``bounds``.  A run converges when the relative residual-norm improvement
+    of an accepted step falls below ``tol`` or the step norm does, and leaves
+    the active set.  A run's residual norm never exceeds its norm at
+    ``init``; a run that hits ``max_iter`` keeps its best iterate with
     converged=False.
     """
-    x = [float(v) for v in init]
-    lo = [float(a) for a, _ in bounds]
-    hi = [float(b) for _, b in bounds]
-    if len(x) != 2 or len(lo) != 2:
-        raise ValueError("init and bounds must each have two entries")
-    if not all(a <= v <= b for v, a, b in zip(x, lo, hi)):
+    x = np.array(init, dtype=np.float64)
+    lo = np.array([float(a) for a, _ in bounds])
+    hi = np.array([float(b) for _, b in bounds])
+    if x.ndim != 2 or x.shape[1] != 2 or lo.size != 2:
+        raise ValueError("init and bounds must each have two entries per run")
+    if not ((lo <= x) & (x <= hi)).all():
         raise ValueError("init must lie within bounds")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    jtj, grad, cost = _evaluate(model, x)
-    if math.isnan(cost):
+    n_runs = len(x)
+    resid, jac, starts = model(x, np.arange(n_runs))
+    # runs only leave the set a call lists, so no later call has more residuals
+    scratch = np.empty(np.size(resid))
+    sums, finite = _normal_sums(resid, jac, starts, scratch)
+    if not finite.all():
         raise ValueError("invalid starting point")
+    cost = np.sqrt(sums[5])
+    lam = np.full(n_runs, _LAM_START)
+    iterations = np.zeros(n_runs, dtype=np.int64)
+    converged = np.zeros(n_runs, dtype=bool)
 
-    lam = 1e-3
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        step = _damped_step(jtj, grad, lam)
-        if step is None:
-            lam = min(lam * 10.0, 1e12)
-            continue
-        x_new = [min(max(v + s, a), b) for v, s, a, b in zip(x, step, lo, hi)]
-        jtj_new, grad_new, cost_new = _evaluate(model, x_new)
-        if not cost_new <= cost:  # a NaN cost, from a non-finite trial, is rejected too
-            lam = min(lam * 10.0, 1e12)
-            continue
-        step_norm = math.sqrt(sum([(a - b) * (a - b) for a, b in zip(x_new, x)]))
-        improvement = cost - cost_new
-        x, jtj, grad, cost = x_new, jtj_new, grad_new, cost_new
-        lam = max(lam / 10.0, 1e-12)
-        if step_norm < tol or cost == 0.0 or improvement < tol * cost:
-            converged = True
+    active = np.arange(n_runs)
+    for iteration in range(1, max_iter + 1):
+        if not active.size:
             break
+        iterations[active] = iteration
+        step, usable = _damped_steps(sums[:, active], lam[active])
+        accepted = np.zeros(active.size, dtype=bool)
+        tried = active[usable]
+        if tried.size:
+            with np.errstate(over="ignore"):
+                trial = x[tried] + step[usable]
+            trial = np.where(trial < lo, lo, trial)
+            trial = np.where(trial > hi, hi, trial)
+            trial_sums, finite = _normal_sums(*model(trial, tried), scratch)
+            trial_cost = np.sqrt(trial_sums[5])
+            # a non-finite trial is rejected like one that raises the cost
+            keep = finite & (trial_cost <= cost[tried])
+            accepted[np.flatnonzero(usable)[keep]] = True
+            runs = tried[keep]
+            new_x, new_cost = trial[keep], trial_cost[keep]
+            with np.errstate(over="ignore", invalid="ignore"):
+                delta = new_x - x[runs]
+                step_norm = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
+                improvement = cost[runs] - new_cost
+            x[runs] = new_x
+            sums[:, runs] = trial_sums[:, keep]
+            cost[runs] = new_cost
+            lam[runs] = np.maximum(lam[runs] / 10.0, _LAM_MIN)
+            converged[runs] = (step_norm < tol) | (new_cost == 0.0) | (improvement < tol * new_cost)
+        rejected = active[~accepted]
+        lam[rejected] = np.minimum(lam[rejected] * 10.0, _LAM_MAX)
+        active = active[~converged[active]]
 
-    return NlsFit(params=tuple(x), residual_norm=cost, iterations=iterations, converged=converged)
+    return NlsBatch(params=x, residual_norm=cost, run_iterations=iterations, run_converged=converged)

@@ -6,10 +6,11 @@ orthogonal factorization, closed-form beta polynomials and recurrences
 instead of continued fractions, an arbitrary-precision tail probability, an
 LCS-based edit distance and a catalog matcher that scores every entry with
 it, a Runge-Kutta integration of the diffusion ODE, and
-central differences instead of the analytic Jacobian.  It also holds earlier
-forms of package code: ``damped_step_solve``, the Gauss-Newton step by
+central differences instead of the analytic Jacobian, also at arbitrary
+precision.  It also holds earlier forms of package code: ``damped_step_solve``, the Gauss-Newton step by
 ``np.linalg.solve``; ``damped_step_cholesky_loop``, the same step by a
-Cholesky loop for any number of parameters; ``bass_jacobian_reference``,
+Cholesky loop for any number of parameters; ``damped_least_squares_loop``,
+the Gauss-Newton solver one run at a time; ``bass_jacobian_reference``,
 the diffusion Jacobian term by term; ``write_report_reference``, the package's report writer as it
 was when each row went through ``json.dumps`` or ``csv.writer``; and
 ``write_series_file_reference``, the series writer as it was when each row
@@ -29,6 +30,8 @@ from typing import Callable
 
 import mpmath as mp
 import numpy as np
+
+from resurge.numerics import _normal_sums
 
 # ---------------------------------------------------------------------------
 # linear algebra: normal equations by Gaussian elimination
@@ -281,6 +284,22 @@ def finite_difference_jacobian(
     return np.column_stack(cols)
 
 
+def bass_jacobian_mp(p: float, q: float, times, dps: int = 40) -> np.ndarray:
+    """dF/dp and dF/dq of the diffusion curve, one row per time, by
+    ``mpmath.diff`` at ``dps`` digits, rounded to float at the end."""
+
+    def curve(pp, qq, t):
+        decay = mp.exp(-(pp + qq) * t)
+        return (1 - decay) / (1 + (qq / pp) * decay)
+
+    with mp.workdps(dps):
+        pp, qq = mp.mpf(p), mp.mpf(q)
+        return np.array([
+            [float(mp.diff(lambda a: curve(a, qq, t), pp)), float(mp.diff(lambda b: curve(pp, b, t), qq))]
+            for t in map(mp.mpf, np.asarray(times, dtype=np.float64).tolist())
+        ])
+
+
 # ---------------------------------------------------------------------------
 # the Gauss-Newton step and the diffusion Jacobian as the package first wrote them
 
@@ -326,6 +345,70 @@ def damped_step_cholesky_loop(
     for i in reversed(range(n)):
         step[i] = (y[i] - sum([chol[k][i] * step[k] for k in range(i + 1, n)])) / chol[i][i]
     return step if all(map(math.isfinite, step)) else None
+
+
+def _loop_evaluate(model, x: list[float]) -> tuple[list[list[float]], list[float], float]:
+    """JᵀJ and Jᵀr as nested lists of floats, and ||r||, at x.
+
+    The norm is NaN, and the lists are empty, when r or J is non-finite.  The
+    sums are the package's own, over this run's residuals alone.
+    """
+    resid, jac = model(np.array(x))
+    resid = np.asarray(resid, dtype=np.float64)
+    jac = np.asarray(jac, dtype=np.float64)
+    if not (np.isfinite(resid).all() and np.isfinite(jac).all()):
+        return [], [], math.nan
+    sums, _ = _normal_sums(resid, jac, np.zeros(1, dtype=np.intp), np.empty(resid.size))
+    a, b, d, g0, g1, rr = sums[:, 0].tolist()
+    return [[a, b], [b, d]], [g0, g1], math.sqrt(rr)
+
+
+def damped_least_squares_loop(model, init, bounds, max_iter: int, tol: float, events=None):
+    """The package's damped Gauss-Newton solver as it was, one run at a time,
+    on Python floats: (params, residual norm, iterations, converged).
+
+    ``model(params)`` returns r and its Jacobian with one row per parameter.
+    The step is ``damped_step_cholesky_loop``, which does the closed form's
+    float operations.  ``events``, when given, collects what each iterate
+    did: "no step" (a pivot that is not positive, or a non-finite step), "bound" (a clamped trial), "reject" (a
+    trial that is non-finite or raises the cost), and "max_iter" at the end
+    of a run that did not converge.
+    """
+    note = events.append if events is not None else lambda event: None
+    x = [float(v) for v in init]
+    lo = [float(a) for a, _ in bounds]
+    hi = [float(b) for _, b in bounds]
+    jtj, grad, cost = _loop_evaluate(model, x)
+    if math.isnan(cost):
+        raise ValueError("invalid starting point")
+
+    lam = 1e-3
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        step = damped_step_cholesky_loop(jtj, grad, lam)
+        if step is None:
+            note("no step")
+            lam = min(lam * 10.0, 1e12)
+            continue
+        x_new = [min(max(v + s, a), b) for v, s, a, b in zip(x, step, lo, hi)]
+        if x_new != [v + s for v, s in zip(x, step)]:
+            note("bound")
+        jtj_new, grad_new, cost_new = _loop_evaluate(model, x_new)
+        if not cost_new <= cost:  # a NaN cost, from a non-finite trial, is rejected too
+            note("reject")
+            lam = min(lam * 10.0, 1e12)
+            continue
+        step_norm = math.sqrt(sum([(a - b) * (a - b) for a, b in zip(x_new, x)]))
+        improvement = cost - cost_new
+        x, jtj, grad, cost = x_new, jtj_new, grad_new, cost_new
+        lam = max(lam / 10.0, 1e-12)
+        if step_norm < tol or cost == 0.0 or improvement < tol * cost:
+            converged = True
+            break
+    if not converged:
+        note("max_iter")
+    return tuple(x), cost, iterations, converged
 
 
 def bass_jacobian_reference(theta: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

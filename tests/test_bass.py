@@ -12,6 +12,7 @@ from resurge.bass import (
     GRID_P,
     GRID_Q,
     MIN_FIT_POINTS,
+    _SERIES_CUTOFF,
     BassParams,
     bass_cumulative,
     bass_instantaneous,
@@ -29,6 +30,15 @@ params_strategy = st.builds(
     p=st.floats(1e-3, 1.0),
     q=st.floats(0.0, 5.0),
 )
+
+
+def curve_and_jacobian(p, q, times):
+    """``_cumulative_and_jacobian`` at one (p, q): F, and the Jacobian with
+    one row per time."""
+    work = np.empty((6, times.size))
+    work[0], work[1], work[2] = p, q, times
+    curve, jac = _cumulative_and_jacobian(work)
+    return curve.copy(), jac.T.copy()
 
 
 def increments_series(params, n_days=60, start_day=0):
@@ -147,7 +157,7 @@ def test_analytic_jacobian_matches_finite_differences(p, q):
         decay = np.exp(-(th[0] + th[1]) * times)
         return (1.0 - decay) / (1.0 + (th[1] / th[0]) * decay)
 
-    curve, analytic = _cumulative_and_jacobian(theta, times)
+    curve, analytic = curve_and_jacobian(p, q, times)
     assert np.array_equal(curve, bass_cumulative(BassParams(p, q), times))
     numeric = oracles.finite_difference_jacobian(residual, theta)
     np.testing.assert_allclose(
@@ -160,13 +170,29 @@ def test_analytic_jacobian_matches_finite_differences(p, q):
 def test_jacobian_matches_the_term_by_term_reference(p, q, n_days):
     theta = np.array([p, q])
     times = np.arange(n_days, dtype=float)
-    curve, jac = _cumulative_and_jacobian(theta, times)
+    curve, jac = curve_and_jacobian(p, q, times)
     expected_curve, expected = oracles.bass_jacobian_reference(theta, times)
     assert np.array_equal(curve, expected_curve)
     assert jac.shape == expected.shape == (n_days, 2)
     # relative to each column's largest entry: dF/dq cancels towards 0 at small t,
-    # and for smaller p or shorter windows both routes lose digits to that cancellation
-    assert np.all(np.abs(jac - expected) <= 1e-12 * np.abs(expected).max(axis=0))
+    # and for smaller p or shorter windows the reference loses digits to that
+    # cancellation; where x = (p + q) t is below the cutoff the package sums a
+    # series instead, and the mpmath test below checks that branch
+    bound = 1e-12 * np.abs(expected).max(axis=0)
+    subtracted = (p + q) * times >= _SERIES_CUTOFF
+    assert np.all(np.abs(jac[:, 0] - expected[:, 0]) <= bound[0])
+    assert np.all(np.abs(jac[subtracted, 1] - expected[subtracted, 1]) <= bound[1])
+
+
+@given(st.floats(1e-6, 1e-5), st.floats(0.0, 5.0) | st.floats(0.0, 1e-4))
+@settings(max_examples=20, deadline=None)
+def test_jacobian_matches_high_precision_near_the_lower_p_bound(p, q):
+    # dF/dq = (u - v) s cancels where x = (p + q) t is small; subtracting
+    # u - v there left errors of 3e-10 of the column's largest entry
+    times = np.arange(1.0, 400.0)
+    _, jac = curve_and_jacobian(p, q, times)
+    expected = oracles.bass_jacobian_mp(p, q, times)
+    assert np.all(np.abs(jac - expected) <= 1e-13 * np.abs(expected).max(axis=0))
 
 
 # --- fitting --------------------------------------------------------------------
@@ -276,3 +302,82 @@ def test_batch_captures_failures_and_continues():
     assert "web-search" in batch.items[2].error
     assert batch.n_failed == 2
     assert batch.n_fits == 2
+
+
+def fit_bits(fit):
+    """A fit's fields, floats by their bits."""
+    return (
+        fit.params.p.hex(), fit.params.q.hex(), fit.residual_norm.hex(), fit.rmse.hex(),
+        fit.converged, fit.n_points,
+    )
+
+
+def noisy_window(p, q, n_days, noise, seed):
+    """A window of daily increments: the curve's, each scaled by its own noise factor."""
+    rng = np.random.default_rng(seed)
+    series = increments_series(BassParams(p, q), n_days=n_days, start_day=730000)
+    return TimeSeries(days=series.days, values=series.values * rng.lognormal(0.0, noise, n_days))
+
+
+@given(
+    st.lists(
+        st.builds(
+            noisy_window,
+            st.floats(1e-3, 0.2),
+            st.floats(0.0, 1.5),
+            st.integers(MIN_FIT_POINTS, 400),
+            st.sampled_from([0.0, 0.1, 0.5]),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=25, deadline=None)
+def test_batch_fits_are_bit_identical_to_each_window_alone(windows, random):
+    random.shuffle(windows)
+    # record i pairs window i with the next one, so every window is fitted twice
+    records = [
+        make_record(f"s{i}", windows[i], windows[(i + 1) % len(windows)]) for i in range(len(windows))
+    ]
+    batch = batch_bass(records)
+    alone = {id(w): fit_bits(fit_bass(w)) for w in windows}
+    for item, record in zip(batch.items, records):
+        assert item.error is None
+        assert fit_bits(item.short_video) == alone[id(record.short_video_series)]
+        assert fit_bits(item.web_search) == alone[id(record.web_search_series)]
+
+
+def test_batch_reports_each_failure_in_record_order():
+    good = [increments_series(BassParams(p, q)) for p, q in ((0.03, 0.5), (0.01, 0.2), (0.08, 0.9))]
+    short = TimeSeries(days=np.arange(10), values=np.ones(10))
+    zeros = TimeSeries(days=np.arange(30), values=np.zeros(30))
+    failing = [
+        (make_record("sv-short", short, good[0]), "series too short for diffusion fit (need >= 20 points)"),
+        (make_record("ws-short", good[0], short), "series too short for diffusion fit (need >= 20 points)"),
+        (make_record("sv-zero", zeros, good[1]), "degenerate series"),
+        (make_record("ws-zero", good[1], zeros), "degenerate series"),
+        (make_record("no-ws", good[2], None), "record has no web-search series"),
+    ]
+    fine = [make_record(f"ok-{i}", good[i], good[(i + 1) % 3]) for i in range(3)]
+    # a good record before and after every failure
+    records = [fine[0]]
+    for i, (record, _) in enumerate(failing):
+        records += [record, fine[(i + 1) % 3]]
+    batch = batch_bass(records)
+
+    assert [item.song_id for item in batch.items] == [record.song_id for record in records]
+    assert [item.error for item in batch.items[1::2]] == [message for _, message in failing]
+    assert all(item.short_video is None and item.web_search is None for item in batch.items[1::2])
+    expected = {item.song_id: item for item in batch_bass(fine).items}
+    for item in batch.items[::2]:
+        assert item.error is None
+        assert fit_bits(item.short_video) == fit_bits(expected[item.song_id].short_video)
+        assert fit_bits(item.web_search) == fit_bits(expected[item.song_id].web_search)
+    assert batch.n_failed == len(failing)
+
+    assert batch_bass([]).items == ()
+    all_failing = batch_bass([record for record, _ in failing])
+    assert [item.error for item in all_failing.items] == [message for _, message in failing]
+    assert all_failing.n_fits == 0

@@ -244,6 +244,38 @@ def test_bass_on_demo(capsys, tmp_path, demo_dir):
         assert 0.0 <= row["fitted_cum"] <= 1.0
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_bass_rows_do_not_depend_on_the_other_fits(capsys, tmp_path, demo_dir, fmt):
+    # the demo flags one song; copies of it with rescaled series are flagged
+    # too, and their windows differ from it in the last bits
+    payload = demo_payload(demo_dir)
+    (song,) = [s for s in payload["songs"] if s["song_id"] == "sr-001"]
+    copies = []
+    for factor in (3.0, 0.7, 1.3):
+        copy = dict(song, song_id=f"sr-001-x{factor}")
+        for key in ("short_video", "web_search"):
+            series = ingest.parse_series_file(song[key])
+            path = tmp_path / f"{copy['song_id']}__{key}.csv"
+            ingest.write_series_file(type(series)(days=series.days, values=series.values * factor), path)
+            copy[key] = str(path)
+        copies.append(copy)
+    songs = [copies[0], song, *copies[1:]]
+    rows = {}
+    for name, listed in (("alone", [song]), ("together", songs)):
+        manifest = tmp_path / f"{name}.json"
+        manifest.write_text(json.dumps(dict(payload, songs=listed)), encoding="utf-8")
+        args = demo_args(demo_dir, tmp_path / name, fmt)
+        args[args.index("--manifest") + 1] = str(manifest)
+        assert main(["bass"] + args) == 0
+        lines = (tmp_path / name / f"bass_report.{fmt}").read_text(encoding="utf-8").splitlines()
+        rows[name] = [line for line in lines if "sr-001-x" not in line]
+    capsys.readouterr()
+    assert len(rows["alone"]) == (2 if fmt == "jsonl" else 3)
+    assert rows["together"] == rows["alone"]
+    together = read_report(tmp_path / "together" / f"bass_report.{fmt}", fmt)
+    assert len(together) == 2 * len(songs)
+
+
 @pytest.mark.parametrize(
     "command, names",
     [

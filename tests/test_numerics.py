@@ -1,6 +1,7 @@
 """Kernel tests: OLS, incomplete beta, F tails, damped Gauss-Newton."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from resurge.bass import MIN_FIT_POINTS, P_BOUNDS, Q_BOUNDS, _cumulative_for, _window_model
 from resurge.numerics import (
-    _damped_step,
+    _damped_steps,
     damped_least_squares,
     f_survival,
     ols_fit,
@@ -255,13 +257,38 @@ def test_fd_jacobian_of_linear_map_is_exact():
 UNBOUNDED = (-math.inf, math.inf)
 
 
+def solve_one(model, init, bounds, max_iter, tol):
+    """``damped_least_squares`` on one run of ``model``, which maps a
+    parameter pair to r and its Jacobian with one row per residual; the
+    run's outcome as fields."""
+
+    def batched(params, runs):
+        resid, jac = model(params[0])
+        return resid, np.asarray(jac, dtype=np.float64).T, np.zeros(1, dtype=np.intp)
+
+    fit = damped_least_squares(batched, np.array(init, dtype=np.float64)[None], bounds, max_iter, tol)
+    return SimpleNamespace(
+        params=tuple(fit.params[0].tolist()),
+        residual_norm=float(fit.residual_norm[0]),
+        iterations=int(fit.run_iterations[0]),
+        converged=bool(fit.run_converged[0]),
+    )
+
+
+def _damped_step(jtj, grad, lam):
+    """The solver's damped step for one run, as a list, or None when it is not usable."""
+    sums = np.array([[jtj[0][0]], [jtj[1][0]], [jtj[1][1]], [grad[0]], [grad[1]]], dtype=np.float64)
+    step, usable = _damped_steps(sums, np.array([lam], dtype=np.float64))
+    return step[0].tolist() if usable[0] else None
+
+
 def test_damped_ls_zero_residual_is_fixed_point():
     init = np.array([0.7, -0.3])
 
     def model(p):
         return np.zeros(4)
 
-    fit = damped_least_squares(with_fd_jacobian(model), init, [UNBOUNDED] * 2, 100, 1e-10)
+    fit = solve_one(with_fd_jacobian(model), init, [UNBOUNDED] * 2, 100, 1e-10)
     assert fit.converged
     assert fit.iterations <= 1
     np.testing.assert_array_equal(fit.params, init)
@@ -272,7 +299,7 @@ def test_damped_ls_quadratic_root():
     def model(p):
         return np.array([p[0] ** 2 - 4.0, p[1] - 1.0])
 
-    fit = damped_least_squares(
+    fit = solve_one(
         with_fd_jacobian(model),
         np.array([1.0, 0.0]),
         [(0.0, 10.0), UNBOUNDED],
@@ -288,7 +315,7 @@ def test_damped_ls_invalid_start():
         return np.array([math.nan, p[1]])
 
     with pytest.raises(ValueError, match="invalid starting point"):
-        damped_least_squares(
+        solve_one(
             with_fd_jacobian(model), np.array([1.0, 0.0]), [UNBOUNDED] * 2, 100, 1e-10
         )
 
@@ -298,7 +325,7 @@ def test_damped_ls_non_finite_jacobian_at_start():
         return np.array([p[0] - 3.0, p[1]]), np.array([[math.nan, 0.0], [0.0, 1.0]])
 
     with pytest.raises(ValueError, match="invalid starting point"):
-        damped_least_squares(model, np.array([0.0, 0.0]), [UNBOUNDED] * 2, 100, 1e-10)
+        solve_one(model, np.array([0.0, 0.0]), [UNBOUNDED] * 2, 100, 1e-10)
 
 
 @pytest.mark.parametrize("broken", ["residual", "jacobian"])
@@ -314,7 +341,7 @@ def test_damped_ls_rejects_non_finite_trial(broken):
                 jac = np.array([[math.nan, 0.0], [0.0, 1.0]])
         return resid, jac
 
-    fit = damped_least_squares(model, np.array([0.0, 0.0]), [(0.0, 10.0), UNBOUNDED], 50, 1e-10)
+    fit = solve_one(model, np.array([0.0, 0.0]), [(0.0, 10.0), UNBOUNDED], 50, 1e-10)
     assert 0.0 < fit.params[0] <= 1.0
     assert fit.residual_norm == 3.0 - fit.params[0]
 
@@ -329,7 +356,7 @@ def test_damped_ls_evaluates_model_once_per_iterate():
         costs.append(float(np.linalg.norm(resid)))
         return resid, jac
 
-    fit = damped_least_squares(model, np.array([-1.2, 1.0]), [UNBOUNDED] * 2, 200, 1e-10)
+    fit = solve_one(model, np.array([-1.2, 1.0]), [UNBOUNDED] * 2, 200, 1e-10)
     assert fit.converged
     assert len(costs) == fit.iterations + 1
     assert any(cost > min(costs[:i]) for i, cost in enumerate(costs) if i)
@@ -346,7 +373,7 @@ def test_damped_ls_takes_exactly_two_parameters(init, bounds):
         return np.array([p[0] + 3.0]), np.ones((1, len(p)))
 
     with pytest.raises(ValueError, match="two entries"):
-        damped_least_squares(model, np.array(init), bounds, 100, 1e-10)
+        solve_one(model, np.array(init), bounds, 100, 1e-10)
 
 
 def test_damped_ls_init_outside_bounds():
@@ -354,7 +381,7 @@ def test_damped_ls_init_outside_bounds():
         return np.array([p[0], p[1]])
 
     with pytest.raises(ValueError, match="within bounds"):
-        damped_least_squares(
+        solve_one(
             with_fd_jacobian(model), np.array([2.0, 0.0]), [(0.0, 1.0), UNBOUNDED], 100, 1e-10
         )
 
@@ -371,7 +398,7 @@ def test_damped_ls_rejects_nan_bounds():
         [(1.0, 0.0), UNBOUNDED],
     ):
         with pytest.raises(ValueError, match="within bounds"):
-            damped_least_squares(
+            solve_one(
                 with_fd_jacobian(model), np.array([0.5, 0.0]), bounds, 100, 1e-10
             )
 
@@ -381,7 +408,7 @@ def test_damped_ls_respects_bounds():
     def model(p):
         return np.array([p[0] + 3.0, p[1]])
 
-    fit = damped_least_squares(
+    fit = solve_one(
         with_fd_jacobian(model),
         np.array([0.5, 0.0]),
         [(0.0, 1.0), UNBOUNDED],
@@ -464,7 +491,7 @@ def test_damped_ls_never_worse_than_init(seed):
     def model(p):
         return A @ p - b
 
-    fit = damped_least_squares(with_fd_jacobian(model), init, [UNBOUNDED] * 2, 20, 1e-10)
+    fit = solve_one(with_fd_jacobian(model), init, [UNBOUNDED] * 2, 20, 1e-10)
     assert fit.residual_norm <= np.linalg.norm(A @ init - b) + 1e-12
 
 
@@ -480,7 +507,7 @@ def test_damped_ls_recovers_diffusion_params():
         decay = np.exp(-(theta[0] + theta[1]) * times)
         return (1.0 - decay) / (1.0 + (theta[1] / theta[0]) * decay) - observed
 
-    fit = damped_least_squares(
+    fit = solve_one(
         with_fd_jacobian(residual),
         np.array([0.01, 0.1]),
         bounds=[(1e-6, 1.0), (0.0, 5.0)],
@@ -489,3 +516,189 @@ def test_damped_ls_recovers_diffusion_params():
     )
     assert fit.params[0] == pytest.approx(0.02, abs=1e-6)
     assert fit.params[1] == pytest.approx(0.4, abs=1e-6)
+
+
+# --- the lockstep solver against the per-run loop -----------------------------------
+
+
+def assert_lockstep_is_the_loop(batched, one_run_models, init, bounds, max_iter, tol, events=None):
+    """Every run of one lockstep solve is bit for bit the per-run loop on
+    that run's model alone; the batch totals are the runs' iterates summed
+    and whether all converged."""
+    init = np.array(init, dtype=np.float64)
+    fit = damped_least_squares(batched, init, bounds, max_iter, tol)
+    loops = [
+        oracles.damped_least_squares_loop(model, start, bounds, max_iter, tol, events)
+        for model, start in zip(one_run_models, init.tolist())
+    ]
+    for run, (params, norm, iterations, converged) in enumerate(loops):
+        assert [v.hex() for v in fit.params[run].tolist()] == [v.hex() for v in params]
+        assert float(fit.residual_norm[run]).hex() == norm.hex()
+        assert int(fit.run_iterations[run]) == iterations
+        assert bool(fit.run_converged[run]) == converged
+    assert fit.iterations == sum(loop[2] for loop in loops)
+    assert fit.converged == all(loop[3] for loop in loops)
+
+
+def concatenated(one_run_models):
+    """The solver's model over runs that each have their own one-run model."""
+
+    def batched(params, runs):
+        parts = [one_run_models[run](theta) for run, theta in zip(runs.tolist(), params)]
+        sizes = [np.size(resid) for resid, _ in parts]
+        return (
+            np.concatenate([resid for resid, _ in parts]),
+            np.concatenate([jac for _, jac in parts], axis=1),
+            np.cumsum([0] + sizes[:-1]),
+        )
+
+    return batched
+
+
+def bass_window_models(windows, run_window):
+    """bass's model over the windows laid end to end, run i fitting window
+    ``run_window[i]``, and the same model restricted to each run's window."""
+    sizes = np.array([times.size for times, _ in windows])
+    starts = np.cumsum(sizes) - sizes
+    batched = _window_model(
+        np.concatenate([times for times, _ in windows]),
+        np.concatenate([observed for _, observed in windows]),
+        starts,
+        sizes,
+        np.array(run_window),
+    )
+
+    def restricted(times, observed):
+        one = np.zeros(1, dtype=np.intp)
+        model = _window_model(times, observed, one, np.array([times.size]), one)
+        # the model's arrays are views of its work rows, so they are copied
+        return lambda theta: tuple(a.copy() for a in model(theta[None], one)[:2])
+
+    return batched, [restricted(*windows[w]) for w in run_window]
+
+
+def diffusion_window(p, q, n_days, noise, seed):
+    times = np.arange(n_days, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    observed = _cumulative_for(p, q, times) + rng.normal(0.0, noise, n_days)
+    return times, observed
+
+
+BASS_BOUNDS = [P_BOUNDS, Q_BOUNDS]
+# a box that excludes the larger drawn (p, q), so those fits end on its walls
+NARROW_BOUNDS = [(0.005, 0.05), (0.1, 0.5)]
+
+
+def within(bounds, fractions):
+    return [min(max(a + f * (b - a), a), b) for (a, b), f in zip(bounds, fractions)]
+
+
+windows_strategy = st.lists(
+    st.builds(
+        diffusion_window,
+        st.floats(1e-4, 0.3),
+        st.floats(0.0, 2.0),
+        st.integers(MIN_FIT_POINTS, 80),
+        st.sampled_from([0.0, 0.002, 0.05]),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(
+    windows_strategy,
+    st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+    st.sampled_from([BASS_BOUNDS, NARROW_BOUNDS]),
+    st.sampled_from([1, 2, 3, 5, 8, 200]),
+    st.sampled_from([1e-12, 1e-8]),
+)
+@settings(max_examples=60, deadline=None)
+def test_lockstep_diffusion_runs_are_the_per_run_loop(windows, runs, bounds, max_iter, tol):
+    run_window = [w % len(windows) for w, _, _ in runs]
+    batched, one_run_models = bass_window_models(windows, run_window)
+    init = [within(bounds, (fp, fq)) for _, fp, fq in runs]
+    assert_lockstep_is_the_loop(batched, one_run_models, init, bounds, max_iter, tol)
+
+
+def non_finite_residual(theta):
+    resid = np.array([theta[0] - 3.0, theta[1]])
+    return (np.array([math.nan, theta[1]]) if theta[0] > 1.0 else resid), np.eye(2)
+
+
+def non_finite_jacobian(theta):
+    jac = np.array([[math.nan, 0.0], [0.0, 1.0]]) if theta[0] > 1.0 else np.eye(2)
+    return np.array([theta[0] - 3.0, theta[1]]), jac
+
+
+def overflowing_jtj(theta):
+    # J is finite but JᵀJ and Jᵀr overflow, so no step is usable
+    return np.array([1e200 * (theta[0] - 2.0), theta[1]]), np.array([[1e200, 0.0], [0.0, 1.0]])
+
+
+def infinite_gradient(theta):
+    # JᵀJ is finite but Jᵀr and rᵀr overflow
+    return np.array([1e300 * (theta[0] - 2.0) + 1e300, theta[1]]), np.array([[1e10, 0.0], [0.0, 1.0]])
+
+
+def singular_jtj(theta):
+    # parallel columns: the second pivot is lost to rounding at small damping
+    resid = np.full(2, theta[0] + theta[1] - 1.0)
+    return resid, np.ones((2, 2))
+
+
+def rosenbrock(theta):
+    # the damped steps from (-1.2, 1) are often rejected
+    resid = np.array([10.0 * (theta[1] - theta[0] ** 2), 1.0 - theta[0]])
+    return resid, np.array([[-20.0 * theta[0], -1.0], [10.0, 0.0]])
+
+
+EDGE_MODELS = {
+    model.__name__: model
+    for model in (non_finite_residual, non_finite_jacobian, overflowing_jtj, infinite_gradient,
+                  singular_jtj, rosenbrock)
+}
+EDGE_BOUNDS = [(-2.0, 10.0), UNBOUNDED]
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(EDGE_MODELS)), st.floats(-2.0, 1.0), st.floats(-5.0, 5.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([1, 3, 50, 200]),
+    st.sampled_from([1e-10, 0.3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_lockstep_edge_runs_are_the_per_run_loop(runs, max_iter, tol):
+    one_run_models = [EDGE_MODELS[name] for name, _, _ in runs]
+    init = [(p, q) for _, p, q in runs]
+    assert_lockstep_is_the_loop(concatenated(one_run_models), one_run_models, init, EDGE_BOUNDS, max_iter, tol)
+
+
+def test_lockstep_cases_take_every_branch_of_the_loop():
+    # the draws above reach these branches; these cases pin that they exist
+    events = []
+    windows = [diffusion_window(0.1, 1.0, 60, 0.0, 0), diffusion_window(0.02, 0.4, 40, 0.05, 1)]
+    batched, one_run_models = bass_window_models(windows, [0, 1, 1])
+    init = [within(NARROW_BOUNDS, (0.5, 0.5)), within(NARROW_BOUNDS, (0.0, 1.0)), within(NARROW_BOUNDS, (1.0, 0.0))]
+    assert_lockstep_is_the_loop(batched, one_run_models, init, NARROW_BOUNDS, 200, 1e-12, events)
+    assert "bound" in events
+    batched, one_run_models = bass_window_models(windows, [1])
+    assert_lockstep_is_the_loop(batched, one_run_models, [(0.9, 4.0)], BASS_BOUNDS, 3, 1e-12, events)
+    assert "max_iter" in events
+
+    for name, init in (("rosenbrock", (-1.2, 1.0)), ("non_finite_residual", (0.0, 0.0)),
+                       ("non_finite_jacobian", (0.0, 0.0)), ("overflowing_jtj", (0.0, 1.0)),
+                       ("infinite_gradient", (0.0, 1.0)), ("singular_jtj", (0.3, 0.1))):
+        found = []
+        model = EDGE_MODELS[name]
+        assert_lockstep_is_the_loop(concatenated([model]), [model], [init], EDGE_BOUNDS, 200, 1e-10, found)
+        events += found
+        if name in ("rosenbrock", "non_finite_residual", "non_finite_jacobian"):
+            assert "reject" in found, name
+        if name in ("overflowing_jtj", "infinite_gradient"):
+            assert "no step" in found, name
+    assert {"bound", "reject", "no step", "max_iter"} <= set(events)
