@@ -164,8 +164,9 @@ def _cumulative_and_jacobian(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.negative(x, out=decay)
     np.exp(decay, out=decay)
     np.abs(x, out=denom)
-    small = np.flatnonzero(denom < _SERIES_CUTOFF)
-    small_diff = _x_plus_expm1_neg(x[small]) / p[small]
+    # at x = 0 the subtraction is exact
+    small = np.flatnonzero((denom < _SERIES_CUTOFF) & (denom > 0.0))
+    small_x, small_p = x[small], p[small]
     ratio = np.divide(q, p, out=q)
     one_minus = np.subtract(1.0, decay, out=x)
     np.multiply(ratio, decay, out=denom)
@@ -181,7 +182,8 @@ def _cumulative_and_jacobian(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q += u
     q *= scale
     np.subtract(u, v, out=t)
-    t[small] = small_diff
+    if small.size:
+        t[small] = _x_plus_expm1_neg(small_x) / small_p
     t *= scale
     return curve, work[1:3]
 
@@ -316,12 +318,8 @@ def _window(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"series too short for diffusion fit (need >= {MIN_FIT_POINTS} points)"
         )
-    fractions = cumulative_normalized(series).values  # rejects an all-zero window
-    # a total that overflows leaves no finite fraction to fit; the check is
-    # made here so that batch_bass reports it before the solve, in record order
-    if not np.isfinite(fractions).all():
-        raise ValueError("unfittable series")
-    return (series.days - series.days[0]).astype(np.float64), fractions
+    fractions = cumulative_normalized(series)  # rejects an all-zero window
+    return (series.days - series.days[0]).astype(np.float64), fractions.values
 
 
 def fit_bass(series: TimeSeries) -> BassFit:

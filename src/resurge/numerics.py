@@ -209,6 +209,8 @@ def _normal_sums(
             np.multiply(a, b, out=product)
             np.add.reduceat(product, starts, out=row)
     finite = np.isfinite(sums).all(axis=0)
+    if finite.all():
+        return sums, finite
     # a non-finite entry of r or J makes a sum of squares non-finite; finite
     # entries can overflow it too, so only those runs are read again
     for run in np.flatnonzero(~finite).tolist():
