@@ -5,18 +5,19 @@ normal equations solved by hand-rolled Gaussian elimination instead of
 orthogonal factorization, closed-form beta polynomials and recurrences
 instead of continued fractions, an arbitrary-precision tail probability, an
 LCS-based edit distance and a catalog matcher that scores every entry with
-it, a Runge-Kutta integration of the diffusion ODE, and
-central differences instead of the analytic Jacobian, also at arbitrary
-precision.  It also holds earlier forms of package code: ``damped_step_solve``, the Gauss-Newton step by
-``np.linalg.solve``; ``damped_step_cholesky_loop``, the same step by a
-Cholesky loop for any number of parameters; ``damped_least_squares_loop``,
-the Gauss-Newton solver one run at a time; ``bass_jacobian_reference``,
-the diffusion Jacobian term by term; ``write_report_reference``, the package's report writer as it
-was when each row went through ``json.dumps`` or ``csv.writer``; and
+it, a Runge-Kutta integration of the diffusion ODE, and central differences
+instead of the analytic Jacobian, also at arbitrary precision.  It also
+holds earlier forms of package code: ``damped_step_solve``, the
+Gauss-Newton step by ``np.linalg.solve``; ``damped_step_cholesky_loop``, the
+same step by a Cholesky loop for any number of parameters;
+``damped_least_squares_loop``, the Gauss-Newton solver one run at a time;
+``bass_jacobian_reference``, the diffusion Jacobian term by term;
+``write_report_reference``, the package's report writer as it was when each
+row went through ``json.dumps`` or ``csv.writer``; and
 ``write_series_file_reference``, the series writer as it was when each row
-went through ``datetime.date``.  Last,
-``read_report`` is the reader the tests use to load the package's JSONL and
-CSV reports back; the package itself only writes them.
+went through ``datetime.date``.  Last, ``read_report`` is the reader the
+tests use to load the package's JSONL and CSV reports back; the package
+itself only writes them.
 """
 
 from __future__ import annotations
@@ -370,9 +371,10 @@ def damped_least_squares_loop(model, init, bounds, max_iter: int, tol: float, ev
     ``model(params)`` returns r and its Jacobian with one row per parameter.
     The step is ``damped_step_cholesky_loop``, which does the closed form's
     float operations.  ``events``, when given, collects what each iterate
-    did: "no step" (a pivot that is not positive, or a non-finite step), "bound" (a clamped trial), "reject" (a
-    trial that is non-finite or raises the cost), and "max_iter" at the end
-    of a run that did not converge.
+    did: "no step" (a pivot that is not positive, or a non-finite step),
+    "bound" (a clamped trial), "reject" (a trial that is non-finite or
+    raises the cost), and "max_iter" at the end of a run that did not
+    converge.
     """
     note = events.append if events is not None else lambda event: None
     x = [float(v) for v in init]
