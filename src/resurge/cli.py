@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as dt
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -269,6 +270,9 @@ def _run(config: RunConfig, through: str) -> _Result:
         if not records:
             raise ValueError("manifest lists no songs")
         result.totals = [record.short_video_series.total() for record in records]
+        for record, total in zip(records, result.totals):
+            if math.isinf(total):
+                raise ValueError(f"song '{record.song_id}': short-video total overflows float64")
         return result
     entries = ingest.parse_catalog_file(config.catalog)
     allowed = ingest.parse_allowlist(config.allowlist) if config.allowlist else []

@@ -58,9 +58,15 @@ _DATE_RE = re.compile(_DATE)
 
 _SERIES_HEADER = ["date", "value"]
 # the exact form write_series_file writes: header, then "date,value\n" rows
-# with no whitespace, comments, blank lines or "\r"
+# with no whitespace, comments, blank lines or "\r".  The body gate checks
+# layout and characters only; on a value that starts with a digit or "." and
+# holds only [0-9.eE+-], float() accepts exactly the strings _VALUE matches,
+# so float() decides the value grammar.  Date classes are spelled out, which
+# the regex engine runs faster than [0-9]{4}
 _CANONICAL_SERIES_HEADER = "date,value\n"
-_CANONICAL_SERIES_BODY_RE = re.compile(rf"(?:{_DATE},{_VALUE}\n)+")
+_CANONICAL_SERIES_BODY_RE = re.compile(
+    r"(?:[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9],[0-9.][0-9.eE+-]*\n)+"
+)
 # datetime64[D] counts days from 1970-01-01, ordinals from 0001-01-01 = 1
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _MAX_ORDINAL = dt.date.max.toordinal()
@@ -126,7 +132,8 @@ def _parse_date(text: str, path, lineno: int) -> int:
 def _read_text(path) -> str:
     """The whole file decoded as UTF-8; invalid bytes are a ParseError with their line."""
     # drop one leading byte-order mark; it holds no line break, so no line number shifts
-    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -150,10 +157,13 @@ def _content_lines(text: str) -> Iterable[tuple[int, str]]:
 def _bulk_series(text: str) -> TimeSeries | None:
     """The series of a file in canonical form, or None for the line reader to handle.
 
-    Uses the same conversions as the line reader, so whatever it returns is
-    what the line reader would return.  Anything it cannot vouch for (another
-    layout, a date that does not exist, an overflowing value, unsorted or
-    repeated days) is left to the line reader, which alone reports errors.
+    One regex checks the row layout and the characters of each field;
+    ``float()`` then decides the value grammar, which on those characters is
+    exactly the line reader's.  It uses the same conversions as the line
+    reader, so whatever it returns is what the line reader would return.
+    Anything it cannot vouch for (another layout, a value ``float()`` rejects,
+    a date that does not exist, an overflowing value, unsorted or repeated
+    days) is left to the line reader, which alone reports errors.
     """
     start = len(_CANONICAL_SERIES_HEADER)
     if not (text.startswith(_CANONICAL_SERIES_HEADER)

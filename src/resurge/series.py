@@ -93,7 +93,9 @@ class TimeSeries:
         return len(self) == self.end_day - self.start_day + 1
 
     def total(self) -> float:
-        return float(self.values.sum())
+        """Sum of the values; ``inf``, with no warning, where it overflows float64."""
+        with np.errstate(over="ignore"):
+            return float(self.values.sum())
 
     def window_slice(self, window: "Window") -> "TimeSeries":
         """Sub-series covering ``window`` (indices into this series)."""
@@ -103,6 +105,23 @@ class TimeSeries:
             days=self.days[window.start : window.end + 1],
             values=self.values[window.start : window.end + 1],
         )
+
+
+def _overflow_free(reduce, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``reduce(values)`` and *values*, rescaled where that overflows float64.
+
+    Where it overflows, both are redone on the values times ``2**-e``, with
+    ``e`` the binary exponent of the largest value, so the results are, bit
+    for bit, those on the series scaled by that power of two.  The product is
+    exact, except for values under ``2**-1021`` times the largest, which turn
+    subnormal.  Where nothing overflows, the float operations are untouched.
+    """
+    with np.errstate(over="ignore"):
+        result = reduce(values)
+    if np.isfinite(result).all():
+        return result, values
+    scaled = np.ldexp(values, -int(np.frexp(values.max())[1]))
+    return reduce(scaled), scaled
 
 
 @dataclass(frozen=True)
@@ -157,7 +176,8 @@ def peak_window(
     the peak value.  Starting from the earliest global argmax, the window
     extends in both directions up to, but not including, the first day whose
     value falls strictly below the threshold.  The peak day itself is always
-    included.
+    included.  Where the total overflows float64, the total and the
+    comparisons run on the values times a power of two (``_overflow_free``).
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError("threshold_fraction must lie in (0, 1)")
@@ -166,7 +186,10 @@ def peak_window(
     values = series.values
     if values.max() == 0.0:
         raise ValueError("degenerate series")
-    reference = values.sum() if basis == "total" else values.max()
+    if basis == "total":
+        reference, values = _overflow_free(np.sum, values)
+    else:
+        reference = values.max()
     threshold = threshold_fraction * reference
     peak = int(np.argmax(values))  # earliest argmax on ties
     start = peak
@@ -196,8 +219,12 @@ def align_pair(a: TimeSeries, b: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
 
 
 def cumulative_normalized(series: TimeSeries) -> TimeSeries:
-    """Running sum scaled by the series total, ending at exactly 1."""
-    cum = np.cumsum(series.values)
+    """Running sum scaled by the series total, ending at exactly 1.
+
+    Where the total overflows float64, the sums run on the values times a
+    power of two (``_overflow_free``).
+    """
+    cum, _ = _overflow_free(np.cumsum, series.values)
     total = cum[-1]
     if total <= 0.0:
         raise ValueError("degenerate series")

@@ -15,7 +15,9 @@ same step by a Cholesky loop for any number of parameters;
 ``write_report_reference``, the package's report writer as it was when each
 row went through ``json.dumps`` or ``csv.writer``; and
 ``write_series_file_reference``, the series writer as it was when each row
-went through ``datetime.date``.  Last, ``read_report`` is the reader the
+went through ``datetime.date``; and ``bulk_series_reference``, the bulk
+series reader as it was when its regex carried the whole value grammar.
+Last, ``read_report`` is the reader the
 tests use to load the package's JSONL and CSV reports back; the package
 itself only writes them.
 """
@@ -26,6 +28,7 @@ import csv
 import datetime as dt
 import json
 import math
+import re
 from pathlib import Path
 from typing import Callable
 
@@ -33,6 +36,7 @@ import mpmath as mp
 import numpy as np
 
 from resurge.numerics import _normal_sums
+from resurge.series import TimeSeries
 
 # ---------------------------------------------------------------------------
 # linear algebra: normal equations by Gaussian elimination
@@ -495,6 +499,31 @@ def write_series_file_reference(series, path) -> None:
     for day, value in zip(series.days, series.values):
         lines.append(f"{dt.date.fromordinal(int(day)).isoformat()},{float(value)!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_BULK_VALUE = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_BULK_BODY_RE = re.compile(rf"(?:[0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}},{_BULK_VALUE}\n)+")
+
+
+def bulk_series_reference(text: str):
+    """The package's bulk series reader as it was, the value grammar in its regex.
+
+    The series of a file in canonical form, or None for the line reader.
+    """
+    start = len("date,value\n")
+    if not (text.startswith("date,value\n") and _BULK_BODY_RE.fullmatch(text, start)):
+        return None
+    fields = text[start:].replace("\n", ",").split(",")
+    count = len(fields) // 2
+    try:
+        days = np.fromiter(
+            map(dt.date.toordinal, map(dt.date.fromisoformat, fields[0:-1:2])),
+            dtype=np.int64, count=count,
+        )
+        values = np.fromiter(map(float, fields[1::2]), dtype=np.float64, count=count)
+        return TimeSeries(days=days, values=values)
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behavior on the bundled fixture and on tiny ad-hoc datasets."""
 
+import errno
 import filecmp
 import json
 import math
@@ -115,6 +116,28 @@ def test_unreadable_manifest_exits_one(capsys, tmp_path):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--manifest", "--catalog", "--allowlist"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_input_prints_the_os_error(capsys, tmp_path, demo_dir, flag, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    code = errno.ENOENT if kind == "missing" else errno.EISDIR
+    args = {
+        "--manifest": str(demo_dir / "manifest.json"),
+        "--catalog": str(demo_dir / "catalog.csv"),
+        "--allowlist": str(demo_dir / "allowlist.txt"),
+        flag: str(path),
+    }
+    out_dir = tmp_path / "out"
+    argv = ["pipeline", "--peak-basis", "peak", "--out-dir", str(out_dir)]
+    assert main(argv + [item for pair in args.items() for item in pair]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno {code}] {os.strerror(code)}: {str(path)!r}\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["curate", "granger", "bass", "pipeline", "ccdf"])
@@ -319,6 +342,27 @@ def test_ccdf_totals_fixture(capsys, tmp_path):
     summary = read_report(out_dir / "ccdf_summary.jsonl", "jsonl")[0]
     assert summary["n_songs"] == 4
     assert summary["min"] == 1.0 and summary["max"] == 4.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ccdf_names_the_song_whose_total_overflows(capsys, tmp_path):
+    # every value is finite; only the sum passes the float64 range
+    rows = "".join(f"2021-01-{day:02d},1e308\n" for day in range(1, 3))
+    (tmp_path / "big.csv").write_text("date,value\n" + rows)
+    (tmp_path / "small.csv").write_text("date,value\n2021-01-01,5\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "format_version": 1,
+        "songs": [
+            {"song_id": song_id, "display_title": f"{song_id} by x",
+             "short_video": f"{song_id}.csv", "web_search": None}
+            for song_id in ("small", "big")
+        ],
+    }))
+    out_dir = tmp_path / "out"
+    assert main(["ccdf", "--manifest", str(manifest), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: song 'big': short-video total overflows float64\n"
+    assert not out_dir.exists()
 
 
 def test_ccdf_single_song(tmp_path):

@@ -4,6 +4,7 @@ import codecs
 import csv
 import datetime as dt
 import io
+import itertools
 import json
 import math
 
@@ -12,7 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import read_report, write_report_reference, write_series_file_reference
+from oracles import (
+    bulk_series_reference,
+    read_report,
+    write_report_reference,
+    write_series_file_reference,
+)
 from resurge import ingest
 from resurge.curation import SongRecord
 from resurge.ingest import (
@@ -236,7 +242,98 @@ def test_line_reader_matches_bulk_path(tmp_path_factory, rows, rng):
         assert back.values.tobytes() == expected.values.tobytes(), name
 
 
+def test_float_accepts_exactly_the_values_the_line_reader_accepts():
+    # the bulk gate checks only characters, so float() decides the grammar of
+    # every value it admits; this alphabet holds a zero, a nonzero digit and
+    # each other character the gate allows
+    admitted = 0
+    mismatches = []
+    for length in range(1, 7):
+        for chars in itertools.product("05.eE+-", repeat=length):
+            text = "".join(chars)
+            if not ingest._CANONICAL_SERIES_BODY_RE.fullmatch(f"2021-01-01,{text}\n"):
+                continue
+            admitted += 1
+            try:
+                float(text)
+                accepted = True
+            except ValueError:
+                accepted = False
+            if accepted != bool(ingest._VALUE_RE.fullmatch(text)):
+                mismatches.append(text)
+    assert admitted == 58_824
+    assert mismatches == []
+
+
 _MAX_DAY = dt.date.max.toordinal()  # 3_652_059, 9999-12-31
+
+# one-row edits that a canonical file can suffer: characters float() reads
+# that the grammar does not, values it rejects, and broken layouts
+_VALUE_INSERTS = ["+", "-", "_", " ", "\t", ".", "e"]
+_VALUE_REPLACEMENTS = ["inf", "nan", "Infinity", "1e400", ".", "e"]
+_ROW_INSERTS = [",", "\r"]
+_DIGIT_ZEROS = [0x660, 0xFF10]  # Arabic-Indic and full-width digit zero
+
+
+@st.composite
+def perturbed_series_texts(draw):
+    """A canonical series file's text with at most one row edited."""
+    rows = draw(st.lists(
+        st.tuples(st.integers(1, _MAX_DAY), st.floats(0.0, 1e300)),
+        min_size=1, max_size=20, unique_by=lambda row: row[0],
+    ))
+    rows.sort()
+    lines = [f"{dt.date.fromordinal(day).isoformat()},{value!r}" for day, value in rows]
+    index = draw(st.integers(0, len(lines) - 1))
+    date, value = lines[index].split(",")
+    edit = draw(st.sampled_from(
+        ["none", "value_insert", "value_replace", "digit", "row_insert", "final_newline"]
+    ))
+    if edit == "value_insert":
+        at = draw(st.integers(0, len(value)))
+        value = value[:at] + draw(st.sampled_from(_VALUE_INSERTS)) + value[at:]
+    elif edit == "value_replace":
+        value = draw(st.sampled_from(_VALUE_REPLACEMENTS))
+    elif edit == "digit":
+        at = draw(st.sampled_from([i for i, char in enumerate(value) if char.isdigit()]))
+        value = value[:at] + chr(draw(st.sampled_from(_DIGIT_ZEROS)) + int(value[at])) + value[at + 1:]
+    line = f"{date},{value}"
+    if edit == "row_insert":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from(_ROW_INSERTS)) + line[at:]
+    lines[index] = line
+    text = "date,value\n" + "".join(line + "\n" for line in lines)
+    return text[:-1] if edit == "final_newline" else text
+
+
+@given(perturbed_series_texts())
+@example("date,value\n2021-01-01,1\n2021-01-02,\u0661\n")
+@example("date,value\n2021-01-01,1_0\n")
+@example("date,value\n2021-01-01,1e400\n")
+@settings(max_examples=200, deadline=None)
+def test_bulk_reader_matches_the_grammar_in_regex_reference(tmp_path_factory, text):
+    bulk = ingest._bulk_series(text)
+    reference = bulk_series_reference(text)
+    assert (bulk is None) == (reference is None)
+    if bulk is not None:
+        assert bulk.days.tobytes() == reference.days.tobytes()
+        assert bulk.values.tobytes() == reference.values.tobytes()
+
+    path = tmp_path_factory.mktemp("perturbed") / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(read):
+        try:
+            series = read()
+        except ParseError as exc:
+            return str(exc)
+        return series.days.tobytes(), series.values.tobytes()
+
+    def read_as_before():
+        series = bulk_series_reference(text)
+        return series if series is not None else ingest._parse_series_lines(path, text)
+
+    assert outcome(lambda: parse_series_file(path)) == outcome(read_as_before)
 
 
 @given(

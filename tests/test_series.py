@@ -307,6 +307,42 @@ def test_cumulative_properties_and_oracle(s):
     assert out.days.tolist() == s.days.tolist()
 
 
+# --- totals that overflow float64 --------------------------------------------------
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_total_runs_on_values_scaled_by_a_power_of_two():
+    big = ts([1e308] * 10)  # each value finite, the total 1e309
+    assert big.total() == np.inf
+    scaled = ts(np.ldexp(big.values, -int(np.frexp(1e308)[1])))
+    out = cumulative_normalized(big)
+    assert out.values.tobytes() == cumulative_normalized(scaled).values.tobytes()
+    assert out.values[-1] == 1.0
+    assert np.all(np.diff(out.values) > 0.0)
+    # threshold 0.05 of the total is half of each day's value
+    assert peak_window(big, 0.05, basis="total") == Window(0, 9, 0)
+    assert peak_window(big, 0.05, basis="total") == peak_window(scaled, 0.05, basis="total")
+
+
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(1.0, 1e6)), min_size=1, max_size=40)
+    .filter(lambda values: max(values) > 0.0),
+    st.floats(0.01, 0.99),
+    st.integers(-100, 100),
+)
+@settings(max_examples=100, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_power_of_two_units_change_no_bit(values, fraction, shift):
+    # rescaling by a power of two is exact, whether or not the total overflows
+    base = ts(values)
+    top = 1024 - int(np.frexp(max(values))[1])  # the largest value stays finite
+    for exponent in (shift, top):
+        scaled = ts(np.ldexp(base.values, exponent))
+        assert (cumulative_normalized(scaled).values.tobytes()
+                == cumulative_normalized(base).values.tobytes())
+        assert peak_window(scaled, fraction, "total") == peak_window(base, fraction, "total")
+
+
 # --- ccdf -------------------------------------------------------------------------
 
 
