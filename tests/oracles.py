@@ -13,13 +13,12 @@ same step by a Cholesky loop for any number of parameters;
 ``damped_least_squares_loop``, the Gauss-Newton solver one run at a time;
 ``bass_jacobian_reference``, the diffusion Jacobian term by term;
 ``write_report_reference``, the package's report writer as it was when each
-row went through ``json.dumps`` or ``csv.writer``; and
+row went through ``json.dumps`` or ``csv.writer``;
 ``write_series_file_reference``, the series writer as it was when each row
 went through ``datetime.date``; and ``bulk_series_reference``, the bulk
 series reader as it was when its regex carried the whole value grammar.
-Last, ``read_report`` is the reader the
-tests use to load the package's JSONL and CSV reports back; the package
-itself only writes them.
+Last, ``read_report`` is the reader the tests use to load the package's
+JSONL and CSV reports back; the package itself only writes them.
 """
 
 from __future__ import annotations
