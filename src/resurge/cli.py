@@ -126,34 +126,46 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
 
 
-def _write_report(config: RunConfig, name: str, rows: list[tuple], fields: tuple[str, ...]) -> None:
-    ingest.write_report(rows, fields, config.out_dir / f"{name}.{config.format}", config.format)
+def _write_report(config: RunConfig, name: str, rows: list[tuple], schema: tuple) -> None:
+    ingest.write_report(rows, schema, config.out_dir / f"{name}.{config.format}", config.format)
 
 
-# --- report rows: each report is its column names plus one value per column ---
+# --- report rows: a schema declares each column's (name, kind); a cell is that kind or None ---
 
-_CURATE_FIELDS = ("song_id", "stage_reached", "stage_name", "kept", "reason")
-_GRANGER_FIELDS = (
-    "song_id", "lag", "f_stat", "df_num", "df_den", "ssr_restricted",
-    "ssr_unrestricted", "p_value", "best_p", "causal", "alpha",
-    "statistic", "intercept", "error",
+_CURATE_FIELDS = (
+    ("song_id", str), ("stage_reached", int), ("stage_name", str), ("kept", bool),
+    ("reason", str),
 )
-_HISTOGRAM_FIELDS = ("bin_lo", "bin_hi", "count")
+_GRANGER_FIELDS = (
+    ("song_id", str), ("lag", int), ("f_stat", float), ("df_num", int), ("df_den", int),
+    ("ssr_restricted", float), ("ssr_unrestricted", float), ("p_value", float),
+    ("best_p", float), ("causal", bool), ("alpha", float), ("statistic", str),
+    ("intercept", bool), ("error", str),
+)
+_HISTOGRAM_FIELDS = (("bin_lo", float), ("bin_hi", float), ("count", int))
 _BASS_FIELDS = (
-    "song_id", "platform", "p", "q", "peak_time", "residual_norm", "rmse",
-    "rmse_within_max", "converged", "n_points", "error",
+    ("song_id", str), ("platform", str), ("p", float), ("q", float), ("peak_time", float),
+    ("residual_norm", float), ("rmse", float), ("rmse_within_max", bool), ("converged", bool),
+    ("n_points", int), ("error", str),
 )
 _SCATTER_FIELDS = (
-    "song_id", "p_short_video", "q_short_video", "p_web_search", "q_web_search",
+    ("song_id", str), ("p_short_video", float), ("q_short_video", float),
+    ("p_web_search", float), ("q_web_search", float),
 )
-_OVERLAY_FIELDS = ("song_id", "platform", "day", "observed_cum", "fitted_cum")
-_CCDF_POINT_FIELDS = ("popularity", "fraction_above")
-_CCDF_SUMMARY_FIELDS = ("n_songs", "min", "q1", "median", "q3", "max")
+_OVERLAY_FIELDS = (
+    ("song_id", str), ("platform", str), ("day", int), ("observed_cum", float),
+    ("fitted_cum", float),
+)
+_CCDF_POINT_FIELDS = (("popularity", float), ("fraction_above", float))
+_CCDF_SUMMARY_FIELDS = (
+    ("n_songs", int), ("min", float), ("q1", float), ("median", float), ("q3", float),
+    ("max", float),
+)
 
 
-def _error_row(fields: tuple[str, ...], song_id: str, error: str) -> tuple:
+def _error_row(schema: tuple, song_id: str, error: str) -> tuple:
     """A failed song's row in a schema that starts with song_id and ends with error."""
-    return (song_id,) + (None,) * (len(fields) - 2) + (error,)
+    return (song_id,) + (None,) * (len(schema) - 2) + (error,)
 
 
 def _curation_rows(report: curation.CurationReport) -> list[tuple]:

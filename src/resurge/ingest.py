@@ -79,9 +79,6 @@ _MAX_SONG_ID_BYTES = 255 - len(_SERIES_FILE.format(song_id="", platform="short_v
 _SURROGATE = re.compile("[\ud800-\udfff]")
 # report rows encoded and written together
 _CHUNK_ROWS = 1024
-# the kinds of value a report column may hold; bool is an int, so it comes first
-_KINDS = (bool, int, float, str)
-_CELL_TYPES = (*_KINDS, type(None))
 # one encoder for every report value; json.dumps builds a new one per call
 _JSON = json.JSONEncoder(ensure_ascii=False).encode
 _CSV_QUOTED = re.compile('[,"\r\n]')
@@ -389,7 +386,8 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
 def _read_song_series(manifest_path: Path, song_id: str, relative: str) -> TimeSeries:
     path = manifest_path.parent / relative
     if not path.is_file():
-        raise ParseError(manifest_path, None, f"song '{song_id}': missing series file {relative}")
+        problem = "missing series file" if not path.exists() else "series path is not a file:"
+        raise ParseError(manifest_path, None, f"song '{song_id}': {problem} {relative}")
     try:
         return parse_series_file(path)
     except ParseError as exc:
@@ -496,96 +494,58 @@ def _encode_column(column, kind, nullable: bool, format: str, encoded: dict) -> 
     return map(_CONSTANTS[format].__getitem__, column)
 
 
-def _first_cell(rows: Sequence[tuple], fieldnames: Sequence[str], bad) -> tuple[int, str, object]:
-    """Row index, column name and value of the first cell for which *bad* is true."""
-    return next(
-        (index, name, cell)
-        for index, row in enumerate(rows)
-        for name, cell in zip(fieldnames, row)
-        if bad(cell)
-    )
-
-
-def write_report(rows: Sequence[tuple], fieldnames: Sequence[str], path, format: str) -> None:
+def write_report(rows: Sequence[tuple], schema: Sequence[tuple[str, type]], path, format: str) -> None:
     """Write rows as JSON Lines or CSV; each row holds one value per column, in order.
 
-    *rows* is a list or tuple of tuples; *fieldnames* a list or tuple of two
-    or more distinct ``str`` names.  A column holds one kind of value, plus
-    ``None``: ``bool``, ``int``, ``float`` or ``str``, or a subclass of it such
-    as ``np.float64``.  Floats are rounded to 12 significant digits; JSON
+    *schema* declares each column as a ``(name, kind)`` pair, *kind* being
+    ``bool``, ``int``, ``float`` or ``str``.  A cell holds a value of its
+    column's kind, or of a subclass such as ``np.float64``, or ``None``; a
+    bool is not an int.  Floats are rounded to 12 significant digits; JSON
     Lines writes the shortest ``repr`` of the rounded value, with ``NaN`` and
     ``Infinity`` for non-finite ones.  CSV writes an empty cell for ``None``,
     ``true`` and ``false`` for booleans, and quotes a cell, doubling its
     quotes, exactly when it holds ``,``, ``"``, ``\\r`` or ``\\n``.  Every error
-    is raised before the file is opened: ``TypeError`` for *rows*,
-    *fieldnames*, a row, a name or a cell of another type, or a column that
-    mixes two kinds; ``ValueError`` for an unknown *format*, fewer than two or
-    repeated names, a row of the wrong length, or a lone surrogate in a name
-    or a cell, which UTF-8 cannot encode.
-    Rows are encoded a column at a time, ``_CHUNK_ROWS`` rows per write.
+    is raised before the file is opened: ``ValueError`` for an unknown
+    *format*, a row of the wrong length, or a string cell holding a lone
+    surrogate, which UTF-8 cannot encode; ``TypeError`` for a cell of another
+    kind.  Rows are encoded a column at a time, ``_CHUNK_ROWS`` rows per write.
     """
     if format not in REPORT_FORMATS:
         raise ValueError("format must be 'jsonl' or 'csv'")
-    # a generator would be used up here, and a dict or str row would be
-    # iterated as its keys or characters; a str of names as its characters
-    for what, value in (("rows", rows), ("column names", fieldnames)):
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"report {what} must be a list or tuple, not {type(value).__name__}")
-    for index, name in enumerate(fieldnames):
-        if not isinstance(name, str):
-            raise TypeError(f"report column name {name!r} is a {type(name).__name__}, not a str")
-        if _SURROGATE.search(name):
-            raise ValueError(
-                f"report column name {name!r} holds a lone surrogate, which UTF-8 cannot encode"
-            )
-        if name in fieldnames[:index]:
-            raise ValueError(f"report column name {name!r} is repeated")
-    if len(fieldnames) < 2:
-        raise ValueError(f"a report needs at least two columns, not {list(fieldnames)!r}")
+    # zip(*rows) would cut every row to the shortest one
     for index, row in enumerate(rows):
-        if not isinstance(row, tuple):
-            raise TypeError(f"report row {index} is a {type(row).__name__}, not a tuple")
-        if len(row) != len(fieldnames):
-            raise ValueError(
-                f"report row {index} has {len(row)} values for {len(fieldnames)} columns"
-            )
+        if len(row) != len(schema):
+            raise ValueError(f"report row {index} has {len(row)} values for {len(schema)} columns")
     # a streamed write cannot take back the lines before a cell it cannot
     # encode, so every cell type and every distinct string is checked first
     columns = list(zip(*rows))
-    column_types = [set(map(type, column)) for column in columns]
-    if not all(issubclass(t, _CELL_TYPES) for types in column_types for t in types):
-        index, name, cell = _first_cell(
-            rows, fieldnames, lambda cell: not isinstance(cell, _CELL_TYPES)
-        )
-        raise TypeError(
-            f"report row {index} column {name!r} holds a {type(cell).__name__}, "
-            "not a str, int, float, bool or None"
-        )
-    kinds = []
-    for name, types in zip(fieldnames, column_types):
-        found = {next(k for k in _KINDS if issubclass(t, k)) for t in types - {type(None)}}
-        if len(found) > 1:
-            mixed = " and ".join(sorted(k.__name__ for k in found))
-            raise TypeError(f"report column {name!r} mixes {mixed}; a column holds one kind")
-        kinds.append(found.pop() if found else None)
-    strings = [set(column) - {None} if kind is str else () for column, kind in zip(columns, kinds)]
-    if any(_SURROGATE.search(text) for texts in strings for text in texts):
-        index, name, _ = _first_cell(
-            rows, fieldnames, lambda cell: isinstance(cell, str) and _SURROGATE.search(cell)
-        )
-        raise ValueError(
-            f"report row {index} column {name!r} holds a lone surrogate, which UTF-8 cannot encode"
-        )
     encode = _JSON if format == "jsonl" else _csv_cell
-    encoded = [{text: encode(text) for text in texts} for texts in strings]
-    nullable = [type(None) in types for types in column_types]
+    nullable, encoded = [], []
+    for (name, kind), column in zip(schema, columns):
+        types = set(map(type, column))
+        nullable.append(type(None) in types)
+        wrong = {t for t in types - {type(None)} if not issubclass(t, kind) or (t is bool) != (kind is bool)}
+        if wrong:
+            index, cell = next((i, cell) for i, cell in enumerate(column) if type(cell) in wrong)
+            raise TypeError(
+                f"report row {index} column {name!r} holds a {type(cell).__name__}, "
+                f"not {kind.__name__} or None"
+            )
+        texts = set(column) - {None} if kind is str else ()
+        if any(_SURROGATE.search(text) for text in texts):
+            index = next(i for i, cell in enumerate(column) if cell and _SURROGATE.search(cell))
+            raise ValueError(
+                f"report row {index} column {name!r} holds a lone surrogate, which UTF-8 cannot encode"
+            )
+        encoded.append({text: encode(text) for text in texts})
+    names, kinds = zip(*schema)
     if format == "jsonl":
-        keys = (_JSON(name).replace("%", "%%") for name in fieldnames)
+        keys = (_JSON(name).replace("%", "%%") for name in names)
         template = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
         header = ""
     else:
-        template = ",".join(["%s"] * len(fieldnames)) + "\n"
-        header = template % tuple(map(_csv_cell, fieldnames))
+        template = ",".join(["%s"] * len(schema)) + "\n"
+        header = template % tuple(map(_csv_cell, names))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
         for start in range(0, len(rows), _CHUNK_ROWS):

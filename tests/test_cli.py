@@ -1,19 +1,22 @@
 """Command-line behavior on the bundled fixture and on tiny ad-hoc datasets."""
 
+import dataclasses
 import errno
 import filecmp
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import resurge
 from oracles import read_report, write_report_reference
-from resurge import curation, ingest
+from resurge import cli, curation, ingest
 from resurge.cli import _GRANGER_FIELDS, RunConfig, main
 
 # outputs of `python -m resurge {pipeline,ccdf} --manifest data/demo/manifest.json
@@ -547,11 +550,12 @@ def test_failed_song_row_holds_only_id_and_error(capsys, tmp_path, demo_dir, fmt
     assert "0 of 0 tested songs flagged at alpha=0.1 (1 failed)" in capsys.readouterr().out
 
     [row] = read_report(out_dir / f"granger_report.{fmt}", fmt)
-    assert list(row) == list(_GRANGER_FIELDS)
+    names = [name for name, _ in _GRANGER_FIELDS]
+    assert list(row) == names
     assert row["song_id"] == "flat"
     assert row["error"] == "degenerate (constant) target series"
     blank = None if fmt == "jsonl" else ""
-    assert [row[name] for name in _GRANGER_FIELDS[1:-1]] == [blank] * (len(_GRANGER_FIELDS) - 2)
+    assert [row[name] for name in names[1:-1]] == [blank] * (len(names) - 2)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -567,10 +571,11 @@ def test_error_rows_match_the_reference_writer(monkeypatch, capsys, tmp_path, de
     written = {}
     write_report = ingest.write_report
 
-    def write_both(rows, fieldnames, path, format):
-        write_report(rows, fieldnames, path, format)
-        write_report_reference(rows, fieldnames, path.with_name("reference_" + path.name), format)
-        written[path.name] = (fieldnames, rows)
+    def write_both(rows, schema, path, format):
+        write_report(rows, schema, path, format)
+        names = [name for name, _ in schema]
+        write_report_reference(rows, names, path.with_name("reference_" + path.name), format)
+        written[path.name] = (schema, rows)
 
     monkeypatch.setattr(ingest, "write_report", write_both)
     out = tmp_path / "out"
@@ -585,8 +590,8 @@ def test_error_rows_match_the_reference_writer(monkeypatch, capsys, tmp_path, de
     for name in written:
         assert (out / name).read_bytes() == (out / f"reference_{name}").read_bytes(), name
     # the Granger report holds error rows and normal rows
-    fieldnames, rows = written[f"granger_report.{fmt}"]
-    assert fieldnames[-1] == "error"
+    schema, rows = written[f"granger_report.{fmt}"]
+    assert schema[-1] == ("error", str)
     assert {row[-1] is None for row in rows} == {True, False}
 
 
@@ -604,3 +609,49 @@ def test_pipeline_on_empty_dataset(tmp_path):
         assert (out_dir / f"{name}.jsonl").read_text() == ""
     hist = read_report(out_dir / "granger_histogram.jsonl", "jsonl")
     assert sum(r["count"] for r in hist) == 0
+
+
+def test_report_schemas_are_declared_once_and_well_formed():
+    schemas = {name: value for name, value in vars(cli).items() if name.endswith("_FIELDS")}
+    assert len(schemas) == 8
+    for name, schema in schemas.items():
+        names = [column for column, _ in schema]
+        assert len(names) >= 2, name
+        assert len(set(names)) == len(names), name
+        assert all(type(column) is str and column.isascii() for column in names), name
+        assert {kind for _, kind in schema} <= {bool, int, float, str}, name
+    # the schemas whose failed songs get _error_row's rows
+    for schema in (cli._GRANGER_FIELDS, cli._BASS_FIELDS):
+        assert schema[0] == ("song_id", str) and schema[-1] == ("error", str)
+
+
+def test_power_of_two_units_leave_outputs_bit_identical(capsys, tmp_path, demo_dir):
+    # every series rewritten through write_series_file, then scaled by 2^k per
+    # platform: (short-video k, web-search k)
+    records = ingest.load_dataset(demo_dir / "manifest.json")
+    scalings = [(0, 0), (100, 0), (990, 0), (-1000, 0), (0, -100), (900, 900)]
+    # the residual sums of squares carry the units: 4^k times as large, or overflowing
+    ssr = re.compile(rb'("ssr_(?:un)?restricted": )[^,]*')
+
+    def scaled(ts, k):
+        return None if ts is None else type(ts)(days=ts.days, values=np.ldexp(ts.values, k))
+
+    runs = []
+    for sv, ws in scalings:
+        directory = tmp_path / f"sv{sv}_ws{ws}"
+        ingest.write_dataset(
+            [dataclasses.replace(r, short_video_series=scaled(r.short_video_series, sv),
+                                 web_search_series=scaled(r.web_search_series, ws))
+             for r in records],
+            directory / "manifest.json", "series",
+        )
+        args = demo_args(demo_dir, directory / "out")
+        args[args.index("--manifest") + 1] = str(directory / "manifest.json")
+        assert main(["pipeline"] + args) == 0
+        # the top-level files; curate_series/ holds the scaled values
+        files = {p.name: p.read_bytes() for p in (directory / "out").iterdir() if p.is_file()}
+        files["granger_report.jsonl"] = ssr.sub(rb"\1", files["granger_report.jsonl"])
+        runs.append((capsys.readouterr(), files))
+    assert len(runs[0][1]) == 7
+    for scaling, run in zip(scalings[1:], runs[1:]):
+        assert run == runs[0], scaling
