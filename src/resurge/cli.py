@@ -138,9 +138,8 @@ _CURATE_FIELDS = (
 )
 _GRANGER_FIELDS = (
     ("song_id", str), ("lag", int), ("f_stat", float), ("df_num", int), ("df_den", int),
-    ("ssr_restricted", float), ("ssr_unrestricted", float), ("p_value", float),
-    ("best_p", float), ("causal", bool), ("alpha", float), ("statistic", str),
-    ("intercept", bool), ("error", str),
+    ("ssr_ratio", float), ("p_value", float), ("best_p", float), ("causal", bool),
+    ("alpha", float), ("error", str),
 )
 _HISTOGRAM_FIELDS = (("bin_lo", float), ("bin_hi", float), ("count", int))
 _BASS_FIELDS = (
@@ -183,9 +182,8 @@ def _granger_rows(batch: granger.GrangerBatch) -> list[tuple]:
             rows.append(_error_row(_GRANGER_FIELDS, item.song_id, item.error))
             continue
         rows.extend(
-            (item.song_id, r.lag, r.f_stat, r.df_num, r.df_den, r.ssr_restricted,
-             r.ssr_unrestricted, r.p_value, res.best_p, res.causal, res.alpha,
-             "ssr_f", True, None)
+            (item.song_id, r.lag, r.f_stat, r.df_num, r.df_den, r.ssr_ratio, r.p_value,
+             res.best_p, res.causal, res.alpha, None)
             for r in res.per_lag
         )
     return rows

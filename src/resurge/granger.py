@@ -6,9 +6,11 @@ share one column-equilibrated QR factorization of the unrestricted design, the
 restricted one being its leading columns: the squared trailing L entries of
 Q^T y are the improvement in the residual sum of squares.  That improvement
 gives an F statistic with (L, n_eff - 2L - 1) degrees of freedom, n_eff being
-the usable rows after dropping the first L; it does not depend on the units of
-either series.  A song's verdict comes from the smallest p-value over
-the swept lags compared against alpha.
+the usable rows after dropping the first L.  Each lag also reports the
+ratio r of the unrestricted to the restricted residual sum of squares, from
+which F = ((1 - r) / r) * df_den / df_num.  Neither depends on the units of
+either series.  A song's verdict comes from the smallest p-value over the swept
+lags compared against alpha.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ class LagResult:
     df_num: int
     df_den: int
     p_value: float
-    ssr_restricted: float
-    ssr_unrestricted: float
+    ssr_ratio: float
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,8 @@ def granger_test(
             raise ValueError(f"degenerate (constant) {role} series")
 
     # an exact power-of-two scale to values below 1: no sum of squares overflows
-    exps = [int(np.frexp(s.values.max())[1]) for s in (target, source)]
-    y_values, x_values = (np.ldexp(s.values, -e) for s, e in zip((target, source), exps))
+    y_values, x_values = (np.ldexp(s.values, -int(np.frexp(s.values.max())[1]))
+                          for s in (target, source))
     per_lag = []
     for lag in lags:
         n_eff = n - lag
@@ -162,18 +163,16 @@ def granger_test(
             f_stat = np.inf if gain > 0.0 else 0.0
         else:
             f_stat = (gain / lag) / (fit.ssr / df_den)
-        p_value = f_survival(f_stat, lag, df_den)
-        with np.errstate(over="ignore"):  # inf only past the float range
-            ssr_r, ssr_u = np.ldexp([fit.ssr + gain, fit.ssr], 2 * exps[0]).tolist()
+        ssr_restricted = fit.ssr + gain
         per_lag.append(
             LagResult(
                 lag=lag,
                 f_stat=float(f_stat),
                 df_num=lag,
                 df_den=df_den,
-                p_value=p_value,
-                ssr_restricted=ssr_r,
-                ssr_unrestricted=ssr_u,
+                p_value=f_survival(f_stat, lag, df_den),
+                # the target's scale cancels; both sums 0 means F = 0, so 1.0
+                ssr_ratio=fit.ssr / ssr_restricted if ssr_restricted > 0.0 else 1.0,
             )
         )
 

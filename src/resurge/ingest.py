@@ -362,7 +362,7 @@ def load_manifest(path) -> DatasetManifest:
             raise ParseError(path, None, problem)
         if not isinstance(short_video, str) or not short_video:
             raise ParseError(path, None, f"{label} ({song_id}) needs a short_video path")
-        if web_search is not None and not isinstance(web_search, str):
+        if web_search is not None and (not isinstance(web_search, str) or not web_search):
             raise ParseError(path, None, f"{label} ({song_id}) web_search must be a path or null")
         entries.append(
             ManifestEntry(

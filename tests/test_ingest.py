@@ -471,6 +471,16 @@ def test_manifest_validation(tmp_path):
     with pytest.raises(ParseError, match="duplicate song identifier: x"):
         load_manifest(path)
 
+    # a series path is a non-empty string; only web_search may be null
+    for bad, message in (
+        (dict(song, short_video=""), "needs a short_video path"),
+        (dict(song, web_search=""), "web_search must be a path or null"),
+        (dict(song, web_search=3), "web_search must be a path or null"),
+    ):
+        path.write_text(json.dumps(manifest_payload([bad])))
+        with pytest.raises(ParseError, match=rf"songs\[0\] \(x\) {message}"):
+            load_manifest(path)
+
     # song ids become output file names, so a path separator is rejected
     for song_id in ("../escaped", "a\\b"):
         bad = dict(song, song_id=song_id)
