@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as dt
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -79,6 +80,8 @@ def _parse_iso_date(text: str) -> dt.date:
         raise argparse.ArgumentTypeError(f"invalid ISO date {text!r}") from None
 
 
+# built on first use and kept: parse_args leaves the parser unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resurge",

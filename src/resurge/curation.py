@@ -19,10 +19,10 @@ from __future__ import annotations
 import datetime as dt
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Iterable, Literal, Sequence
+
+import numpy as np
 
 from .series import TimeSeries, align_pair, interpolate_daily, peak_window
 
@@ -70,11 +70,6 @@ class CatalogEntry:
             raise ValueError(f"invalid release_kind {self.release_kind!r}")
         if not self.title.strip() or not self.artist.strip():
             raise ValueError("catalog entries need a non-empty title and artist")
-
-    @cached_property
-    def _match_texts(self) -> tuple[_MatchText, _MatchText]:
-        """Title and artist prepared for matching, built on first use."""
-        return _MatchText(self.title), _MatchText(self.artist)
 
 
 @dataclass(frozen=True)
@@ -131,49 +126,44 @@ def _lcs_length(masks: dict[str, int], m: int, text: str) -> int:
 
 
 class _MatchText:
-    """One normalized string with its LCS masks and character counts."""
+    """One normalized string with its LCS masks."""
 
-    __slots__ = ("text", "masks", "counts")
+    __slots__ = ("text", "masks")
 
     def __init__(self, raw: str) -> None:
         self.text = _normalize(raw)
         if not self.text:
             raise ValueError("strings must be non-empty after normalization")
         self.masks = _char_masks(self.text)
-        self.counts = Counter(self.text)
 
 
-def _score(m: int, n: int, lcs: int) -> float:
+def _score(m, n, lcs):
     # the integer indel first, then 1 - indel / total: algebraically equal
-    # forms such as 2 * lcs / total round differently at the half percent
+    # forms such as 2 * lcs / total round differently at the half percent.
+    # Elementwise on integer arrays, with the same IEEE operations.
     return 1.0 - (m + n - 2 * lcs) / (m + n)
 
 
-def _percent(score: float) -> int:
-    return int(math.floor(score * 100.0 + 0.5))
+def _percent(score):
+    """A score as an integer percentage, rounded half up; elementwise on an array."""
+    return np.floor(score * 100.0 + 0.5).astype(np.int64)
 
 
 def _similarity(a: _MatchText, b: _MatchText) -> int:
     """The ``partial_ratio`` of two prepared strings."""
     s, l = (b, a) if len(a.text) > len(b.text) else (a, b)
     m, hay = len(s.text), l.text
-    # every window has the same denominator, so the longest LCS scores best
-    lcs = max(_lcs_length(s.masks, m, hay[i : i + m]) for i in range(len(hay) - m + 1))
+    # every window has the same denominator, so the longest LCS scores best;
+    # a window that holds the whole needle scores 100, and nothing scores more
+    lcs = 0
+    for i in range(len(hay) - m + 1):
+        lcs = max(lcs, _lcs_length(s.masks, m, hay[i : i + m]))
+        if lcs == m:
+            return 100
     best = _score(m, m, lcs)
     if len(hay) < 2 * m and len(hay) != m:
         best = max(best, _score(m, len(hay), _lcs_length(s.masks, m, hay)))
-    return _percent(best)
-
-
-def _similarity_bound(a: _MatchText, b: _MatchText) -> int:
-    """An upper bound on ``_similarity(a, b)`` from character counts alone.
-
-    Every candidate's LCS is at most the size of the multiset intersection,
-    and the whole-string candidate scores no higher than a window with the same
-    LCS.
-    """
-    m = min(len(a.text), len(b.text))
-    return _percent(_score(m, m, sum((a.counts & b.counts).values())))
+    return int(_percent(best))
 
 
 def partial_ratio(a: str, b: str) -> int:
@@ -189,17 +179,56 @@ def partial_ratio(a: str, b: str) -> int:
     return _similarity(_MatchText(a), _MatchText(b))
 
 
-def _rank_key(entry: CatalogEntry, title_score: int, artist_score: int, threshold: int):
-    """The sort key of ``match_catalog``, or None when a score fails the threshold."""
-    low = min(title_score, artist_score)
-    if low <= threshold:
-        return None
-    return (-low, entry.release_date, entry.title)
+class _CatalogIndex:
+    """A catalog prepared once for matching many display titles.
+
+    ``counts`` holds, for the titles and then the artists, a matrix whose row
+    i counts each character of entry i's normalized string over the catalog's
+    alphabet, and the string lengths.  The matrix's last column is all zero;
+    a display character outside the alphabet counts there.
+    """
+
+    def __init__(self, catalog: Sequence[CatalogEntry]) -> None:
+        self.entries = tuple(catalog)
+        self.texts = [(_MatchText(e.title), _MatchText(e.artist)) for e in self.entries]
+        alphabet = sorted({ch for pair in self.texts for text in pair for ch in text.text})
+        self.columns = {ch: j for j, ch in enumerate(alphabet)}
+        size, width = len(self.entries), len(alphabet) + 1
+        self.counts = []
+        for k in (0, 1):
+            cells = [i * width + self.columns[ch] for i, pair in enumerate(self.texts) for ch in pair[k].text]
+            matrix = np.bincount(cells, minlength=size * width).reshape(size, width)
+            self.counts.append((matrix, matrix.sum(1)))
+        # equal scores go to the earlier release date, then the smaller title,
+        # then the earlier catalog position: one rank per entry
+        ties = sorted(range(size), key=lambda i: (self.entries[i].release_date, self.entries[i].title, i))
+        self.tie_ranks = np.empty(size, dtype=np.int64)
+        self.tie_ranks[ties] = np.arange(size)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def bounds(self, display: _MatchText) -> list[np.ndarray]:
+        """Upper bounds on every entry's title and artist score against ``display``.
+
+        Every candidate's LCS is at most the size of the multiset intersection
+        of the two strings' characters, and the whole-string candidate scores
+        no higher than a window with the same LCS.
+        """
+        counts = np.bincount(
+            [self.columns.get(ch, len(self.columns)) for ch in display.text],
+            minlength=len(self.columns) + 1,
+        )
+        bounds = []
+        for matrix, lengths in self.counts:
+            m = np.minimum(lengths, len(display.text))
+            bounds.append(_percent(_score(m, m, np.minimum(matrix, counts).sum(1))))
+        return bounds
 
 
 def match_catalog(
     record: SongRecord,
-    catalog: Sequence[CatalogEntry],
+    catalog: _CatalogIndex | Sequence[CatalogEntry],
     threshold: int = DEFAULT_MATCH_THRESHOLD,
 ) -> CatalogEntry | None:
     """Best catalog entry whose title and artist both beat the threshold.
@@ -207,33 +236,41 @@ def match_catalog(
     Both scores must be strictly above ``threshold`` against the record's
     display title.  Candidates rank by the smaller of the two scores; ties
     break toward the earlier release date, then the lexicographically
-    smaller title, so matching is deterministic.
+    smaller title, then the earlier catalog position, so matching is
+    deterministic.  ``catalog`` is a ``_CatalogIndex`` or a sequence of
+    entries, which is indexed first.
 
-    Scores start as upper bounds and are made exact one at a time.  A key
-    built from bounds is never better than the exact key, so an entry is
-    dropped as soon as such a key fails the threshold or cannot beat the
-    best key so far; this never changes the match.
+    Every entry gets an upper bound on both scores from character counts.
+    The entries whose bounds pass the threshold are visited best bound key
+    first and scored exactly; the visit stops at the first bound key that is
+    no better than the best exact key, since every later entry's exact key is
+    no better still (the threshold algorithm of Fagin, Lotem & Naor 2003).
+    This never changes the match.
     """
-    if not catalog:
+    index = catalog if isinstance(catalog, _CatalogIndex) else _CatalogIndex(catalog)
+    if not index.entries:
         return None
     display = _MatchText(record.display_title)
+    title_bounds, artist_bounds = index.bounds(display)
+    low = np.minimum(title_bounds, artist_bounds)
+    passing = np.flatnonzero(low > threshold)
+    tie_ranks = index.tie_ranks
     best_key: tuple = (math.inf,)  # ranks after every real key
     best_entry = None
-    for entry in catalog:
-        title, artist = entry._match_texts
-        artist_bound = _similarity_bound(artist, display)
-        key = _rank_key(entry, _similarity_bound(title, display), artist_bound, threshold)
-        if key is None or key >= best_key:
+    # keys are (-score, tie rank); a bound key is never worse than the exact key
+    for i in passing[np.lexsort((tie_ranks[passing], -low[passing]))].tolist():
+        tie = int(tie_ranks[i])
+        if (-int(low[i]), tie) >= best_key:
+            break
+        title, artist = index.texts[i]
+        score = min(_similarity(title, display), int(artist_bounds[i]))
+        if score <= threshold or (-score, tie) >= best_key:
             continue
-        title_score = _similarity(title, display)
-        key = _rank_key(entry, title_score, artist_bound, threshold)
-        if key is None or key >= best_key:
+        score = min(score, _similarity(artist, display))
+        if score <= threshold or (-score, tie) >= best_key:
             continue
-        key = _rank_key(entry, title_score, _similarity(artist, display), threshold)
-        if key is None or key >= best_key:
-            continue
-        best_key = key
-        best_entry = entry
+        best_key = (-score, tie)
+        best_entry = index.entries[i]
     return best_entry
 
 
@@ -262,13 +299,14 @@ def curate(
             raise ValueError(f"duplicate song identifier: {record.song_id}")
         seen.add(record.song_id)
     allowed = set(allowlist)
+    index = _CatalogIndex(catalog)
 
     def screen(record: SongRecord) -> tuple[int, str, SongRecord | None]:
         """The stage a record reaches, the reason, and the processed record if kept."""
         if record.web_search_series is None:
             return 1, "no web-search series", None
         if record.song_id not in allowed:
-            entry = match_catalog(record, catalog, match_threshold)
+            entry = match_catalog(record, index, match_threshold)
             if entry is None:
                 return 2, "no catalog match", None
             if entry.release_kind != "single":

@@ -159,11 +159,17 @@ def granger_test(
         design, y = _lagged_design(y_values, x_values, lag)
         fit = ols_fit(design, y)
         gain = float(fit.effects[1 + lag :] @ fit.effects[1 + lag :])
-        if fit.ssr <= 0.0:
-            f_stat = np.inf if gain > 0.0 else 0.0
-        else:
-            f_stat = (gain / lag) / (fit.ssr / df_den)
         ssr_restricted = fit.ssr + gain
+        # Where the target's own lags predict it exactly, both sums are rounding
+        # and their ratio depends on the LAPACK kernel.  A restricted sum at or
+        # below n_eff * eps * (y @ y), a residual norm within sqrt(n_eff * eps)
+        # (about 1e-7) of y's, counts as such a fit: F = 0.  y is the
+        # power-of-two-scaled target, so the floor scales with the data.
+        if ssr_restricted <= n_eff * np.finfo(np.float64).eps * float(y @ y):
+            f_stat, ssr_ratio = 0.0, 1.0
+        else:
+            f_stat = (gain / lag) / (fit.ssr / df_den) if fit.ssr > 0.0 else np.inf
+            ssr_ratio = fit.ssr / ssr_restricted  # the target's scale cancels
         per_lag.append(
             LagResult(
                 lag=lag,
@@ -171,8 +177,7 @@ def granger_test(
                 df_num=lag,
                 df_den=df_den,
                 p_value=f_survival(f_stat, lag, df_den),
-                # the target's scale cancels; both sums 0 means F = 0, so 1.0
-                ssr_ratio=fit.ssr / ssr_restricted if ssr_restricted > 0.0 else 1.0,
+                ssr_ratio=ssr_ratio,
             )
         )
 

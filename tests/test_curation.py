@@ -226,8 +226,72 @@ def test_match_catalog_pruning_is_lossless(case, threshold):
 @given(text_strategy, text_strategy)
 @settings(max_examples=200, deadline=None)
 def test_similarity_bound_never_below_exact_score(a, b):
-    bound = curation._similarity_bound(curation._MatchText(a), curation._MatchText(b))
-    assert bound >= oracles.partial_ratio_windows(a, b)
+    # the index's vectorized bound; b's characters may lie outside a's alphabet
+    title_bounds, artist_bounds = curation._CatalogIndex([entry(a, a)]).bounds(curation._MatchText(b))
+    for bound in (title_bounds[0], artist_bounds[0]):
+        assert bound >= oracles.partial_ratio_windows(a, b)
+
+
+short_words = st.text(alphabet="abc de", min_size=1, max_size=8).filter(lambda s: s.strip())
+
+
+@st.composite
+def artist_twins(draw):
+    """Entries sharing one (title, release date) that differ only in artist,
+    shuffled among a few others; the display may hold characters no entry has."""
+    title = draw(short_words)
+    artists = draw(st.lists(short_words, min_size=2, max_size=5))
+    catalog = [entry(title, artist, dt.date(2010, 1, 1)) for artist in artists]
+    catalog += draw(st.lists(st.builds(entry, short_words, short_words), max_size=5))
+    foreign = st.text(alphabet="abc dX\u00e9!\u00e5", min_size=1, max_size=8).filter(lambda s: s.strip())
+    display = draw(st.one_of(
+        short_words,
+        foreign,
+        st.builds(lambda artist, tail: f"{title} by {artist}{tail}", st.sampled_from(artists), foreign),
+    ))
+    return display, draw(st.permutations(catalog))
+
+
+@given(artist_twins(), st.integers(0, 100))
+@settings(max_examples=100, deadline=None)
+def test_index_keeps_the_first_of_artist_twins(case, threshold):
+    display, catalog = case
+    expected = oracles.match_catalog_reference(display, catalog, threshold)
+    assert match_catalog(song("x", display), curation._CatalogIndex(catalog), threshold) is expected
+
+
+SYLLABLES = ("ka", "lo", "mi", "ren", "su", "ta", "vo", "ne")
+
+
+@st.composite
+def decoy_catalogs(draw):
+    """30 to about 200 entries: releases with near-miss decoys ("(Rework)",
+    one letter more, a plural artist, a later reissue, another artist) and
+    filler, plus displays that name a release, a decoy or nothing."""
+    rng = draw(st.randoms(use_true_random=False))
+    word = lambda: "".join(rng.choice(SYLLABLES) for _ in range(rng.randint(1, 3)))
+    day = lambda: dt.date(2010, 1, 1) + dt.timedelta(days=rng.randint(0, 3))
+    catalog = []
+    for _ in range(draw(st.integers(5, 30))):
+        title, artist, date = word(), word(), day()
+        catalog += [entry(title, artist, date), entry(f"{title} (Rework)", artist, date),
+                    entry(title + "s", artist, day()), entry(title, artist + "s", date),
+                    entry(title, artist, date + dt.timedelta(days=1)), entry(title, word(), date)]
+    catalog += [entry(word(), word(), day()) for _ in range(rng.randint(0, 20))]
+    rng.shuffle(catalog)
+    named = rng.choice(catalog)
+    displays = [f"{named.title} by {named.artist}", f"{word()} by {word()}", f"{named.title} (live) by {named.artist}!"]
+    return displays, catalog
+
+
+@given(decoy_catalogs(), st.integers(40, 90))
+@settings(max_examples=10, deadline=None)
+def test_index_matches_the_reference_on_decoy_catalogs(case, threshold):
+    displays, catalog = case
+    index = curation._CatalogIndex(catalog)
+    for display in displays:
+        expected = oracles.match_catalog_reference(display, catalog, threshold)
+        assert match_catalog(song("x", display), index, threshold) is expected, display
 
 
 def test_catalog_entry_validation():

@@ -1,6 +1,10 @@
 """Lagged-design construction and the nested F-test screen."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import resurge
 from resurge.curation import SongRecord
 from resurge.granger import LagSpec, _lagged_design, batch_granger, granger_test
 from resurge.series import TimeSeries
+
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
 
 
 def ts(values, start=0):
@@ -136,18 +146,43 @@ def test_matches_independent_oracle():
             assert lag_result.f_stat == pytest.approx(f_from_ratio(lag_result), rel=1e-12)
 
 
+# OpenBLAS kernels with the CPU feature each needs.  A kernel this CPU lacks is
+# skipped; a BLAS other than OpenBLAS ignores OPENBLAS_CORETYPE.
+OPENBLAS_KERNELS = {"SkylakeX": "AVX512_SKX", "Haswell": "AVX2", "Sandybridge": "AVX"}
+
+OWN_LAGS_CHILD = """
+import numpy as np
+from resurge.granger import LagSpec, granger_test
+from resurge.series import TimeSeries
+ts = lambda v: TimeSeries(days=np.arange(len(v)), values=np.asarray(v, float))
+for source, target in {pairs!r}:
+    r = granger_test(ts(source), ts(target), LagSpec(1, 1)).per_lag[0]
+    print(r.f_stat, r.p_value, r.ssr_ratio)
+"""
+
+
 def test_target_its_own_lags_predict_exactly():
     """Both residual sums are 0 in exact arithmetic.  In floats they come out
-    0.0 or rounding-sized depending on the LAPACK kernel (0.0 on OpenBLAS's
-    Haswell and SkylakeX kernels); where both are 0.0, F is 0 and the ratio
-    1.0, not a division by zero.  Whichever it is, the ratio gives F."""
-    source = [2.0, 2.0, 2.0, 3.0] + [2.0] * 21
-    target = [2.0, 1.0] * 12 + [2.0]
-    lag1 = granger_test(ts(source), ts(target), LagSpec(1, 1)).per_lag[0]
-    assert 0.0 <= lag1.ssr_ratio <= 1.0
-    assert lag1.f_stat == pytest.approx(f_from_ratio(lag1), rel=1e-12)
-    if lag1.ssr_ratio == 1.0:
-        assert (lag1.f_stat, lag1.p_value) == (0.0, 1.0)
+    0.0 or rounding-sized depending on the LAPACK kernel: on the second pair,
+    F taken from those sums is 0, 21.0 (p = 1.6e-4, causal) and 0.0049 under
+    OpenBLAS's SkylakeX, Haswell and Sandybridge kernels.  The restricted sum
+    is under n_eff * eps * (y @ y), so every kernel gives F = 0, p = 1 and
+    ratio 1.0."""
+    pairs = [
+        ([2.0, 2.0, 2.0, 3.0] + [2.0] * 21, [2.0, 1.0] * 12 + [2.0]),
+        ([3.0, 2.0] * 9 + [4.0, 2.0, 3.0, 2.0, 3.0, 2.0, 3.0], [4.0, 2.0] * 12 + [4.0]),
+    ]
+    for source, target in pairs:
+        lag1 = granger_test(ts(source), ts(target), LagSpec(1, 1)).per_lag[0]
+        assert (lag1.f_stat, lag1.p_value, lag1.ssr_ratio) == (0.0, 1.0, 1.0)
+    src = str(Path(resurge.__file__).resolve().parent.parent)
+    features = umath.__cpu_features__
+    for kernel in [k for k, feature in OPENBLAS_KERNELS.items() if features.get(feature)]:
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel)
+        proc = subprocess.run([sys.executable, "-c", OWN_LAGS_CHILD.format(pairs=pairs)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0.0 1.0 1.0\n" * len(pairs), kernel
 
 
 def test_affine_rescaling_invariance():
