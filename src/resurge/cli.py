@@ -236,10 +236,8 @@ def _overlay_rows(batch: bass_mod.BassBatch, flagged: list[curation.SongRecord])
             observed = series.cumulative_normalized(ts)
             offsets = ts.days - ts.days[0]
             fitted = bass_mod.bass_cumulative(fit.params, offsets.astype(np.float64))
-            rows.extend(
-                (item.song_id, platform, day, obs, model)
-                for day, obs, model in zip(offsets.tolist(), observed.values.tolist(), fitted.tolist())
-            )
+            rows.extend(zip([item.song_id] * len(ts), [platform] * len(ts), offsets.tolist(),
+                            observed.values.tolist(), fitted.tolist()))
     return rows
 
 

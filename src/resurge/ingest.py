@@ -234,18 +234,26 @@ def write_series_file(series: TimeSeries, path) -> None:
     """Inverse of :func:`parse_series_file`; values round-trip bit-exactly.
 
     A day outside the years 1 to 9999 is a ``ValueError``, raised before the
-    file is opened.
+    file is opened.  Dates are spelt from their YYYYMMDD digits a column at a
+    time, values by ``float.__repr__``, and the rows are written with one join.
     """
     days = series.days
-    # numpy spells years 0 and 10000 too, which parse_series_file rejects;
+    # four digits cannot hold year 10000, and parse_series_file rejects year 0;
     # days increase, so the ends bound them all
     if days[0] < 1 or days[-1] > _MAX_ORDINAL:
         bad = days[0] if days[0] < 1 else days[-1]
         raise ValueError(f"day {bad} is outside the years 1 to 9999")
-    dates = np.datetime_as_string((days - _EPOCH_ORDINAL).astype("datetime64[D]"))
-    # %r of a float is its shortest round-tripping repr
-    rows = map("%s,%r\n".__mod__, zip(dates.tolist(), series.values.tolist()))
-    Path(path).write_text(_CANONICAL_SERIES_HEADER + "".join(rows), encoding="utf-8")
+    # YYYYMMDD's eight digits as UTF-32 code points around the dashes, viewed as strings
+    day = (days - _EPOCH_ORDINAL).astype("datetime64[D]")
+    month, year = day.astype("datetime64[M]"), day.astype("datetime64[Y]")
+    ymd = (year.astype(np.int64) + 1970) * 10000 + (month - year).astype(np.int64) * 100
+    ymd += (day - month).astype(np.int64) + 101
+    text = np.full((len(days), 10), ord("-"), dtype=np.uint32)
+    text[:, [0, 1, 2, 3, 5, 6, 8, 9]] = ymd[:, None] // 10 ** np.arange(7, -1, -1) % 10 + ord("0")
+    parts = [None, ",", None, "\n"] * len(days)
+    parts[0::4] = text.view("U10").ravel().tolist()
+    parts[2::4] = map(float.__repr__, series.values.tolist())  # the shortest round-tripping form
+    Path(path).write_text(_CANONICAL_SERIES_HEADER + "".join(parts), encoding="utf-8")
 
 
 def parse_catalog_file(path) -> list[CatalogEntry]:
@@ -508,14 +516,15 @@ def write_report(rows: Sequence[tuple], schema: Sequence[tuple[str, type]], path
     is raised before the file is opened: ``ValueError`` for an unknown
     *format*, a row of the wrong length, or a string cell holding a lone
     surrogate, which UTF-8 cannot encode; ``TypeError`` for a cell of another
-    kind.  Rows are encoded a column at a time, ``_CHUNK_ROWS`` rows per write.
+    kind.  Each chunk of ``_CHUNK_ROWS`` rows is encoded a column at a time and
+    written as one join of its cells and the fixed separators around them.
     """
     if format not in REPORT_FORMATS:
         raise ValueError("format must be 'jsonl' or 'csv'")
     # zip(*rows) would cut every row to the shortest one
-    for index, row in enumerate(rows):
-        if len(row) != len(schema):
-            raise ValueError(f"report row {index} has {len(row)} values for {len(schema)} columns")
+    if set(map(len, rows)) - {len(schema)}:
+        index, row = next((i, row) for i, row in enumerate(rows) if len(row) != len(schema))
+        raise ValueError(f"report row {index} has {len(row)} values for {len(schema)} columns")
     # a streamed write cannot take back the lines before a cell it cannot
     # encode, so every cell type and every distinct string is checked first
     columns = list(zip(*rows))
@@ -540,15 +549,18 @@ def write_report(rows: Sequence[tuple], schema: Sequence[tuple[str, type]], path
         encoded.append({text: encode(text) for text in texts})
     names, kinds = zip(*schema)
     if format == "jsonl":
-        keys = (_JSON(name).replace("%", "%%") for name in names)
-        template = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
+        keys = ["%s: " % _JSON(name) for name in names]
+        layout = ["{" + keys[0], None] + [s for key in keys[1:] for s in (", " + key, None)] + ["}\n"]
         header = ""
     else:
-        template = ",".join(["%s"] * len(schema)) + "\n"
-        header = template % tuple(map(_csv_cell, names))
+        layout = ["", None] + [",", None] * (len(names) - 1) + ["\n"]
+        header = ",".join(map(_csv_cell, names)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
         for start in range(0, len(rows), _CHUNK_ROWS):
             chunks = [column[start : start + _CHUNK_ROWS] for column in columns]
             cells = map(_encode_column, chunks, kinds, nullable, [format] * len(kinds), encoded)
-            fh.write("".join(map(template.__mod__, zip(*cells))))
+            parts = layout * len(chunks[0])
+            for j, column_cells in enumerate(cells):
+                parts[2 * j + 1 :: len(layout)] = column_cells
+            fh.write("".join(parts))

@@ -1,7 +1,9 @@
 """Shared fixtures; also puts this directory on sys.path for `import oracles`."""
 
+import contextlib
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,14 @@ REPO_ROOT = TESTS_DIR.parent
 
 if str(TESTS_DIR) not in sys.path:
     sys.path.insert(0, str(TESTS_DIR))
+
+# hypothesis's pytest plugin imports this module to print a failing example's
+# patch and catches only ImportError; under -W error::DeprecationWarning,
+# libcst's import of mypy_extensions.TypedDict raises instead and ends the
+# session (INTERNALERROR).  Loaded once here, with only that warning ignored.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

@@ -352,6 +352,11 @@ def test_bulk_reader_matches_the_grammar_in_regex_reference(tmp_path_factory, te
     (738001, 1e22),
     (_MAX_DAY, 1.7976931348623157e308),
 ])
+# leap days, the skipped 1900-02-29, and the first and last day the writer spells
+@example([(dt.date(4, 2, 29).toordinal(), 1.0)])
+@example([(dt.date(1900, 2, 28).toordinal(), 1.0), (dt.date(1900, 3, 1).toordinal(), 2.0)])
+@example([(dt.date(2000, 2, 29).toordinal(), 0.5)])
+@example([(1, 3.0), (_MAX_DAY, 4.0)])
 @settings(max_examples=60, deadline=None)
 def test_series_writer_matches_the_reference(tmp_path_factory, rows):
     rows.sort()
@@ -360,6 +365,19 @@ def test_series_writer_matches_the_reference(tmp_path_factory, rows):
     write_series_file(series, directory / "bulk.csv")
     write_series_file_reference(series, directory / "reference.csv")
     assert (directory / "bulk.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
+def test_series_writer_spells_each_date_as_isoformat_does(tmp_path):
+    # every day of the years around the ends and the century leap rules, and
+    # every 101st day of the calendar, which steps through each month and day
+    years = [(1, 2), (1899, 1901), (1999, 2001), (9998, 9999)]
+    spans = [np.arange(dt.date(a, 1, 1).toordinal(), dt.date(b, 12, 31).toordinal() + 1)
+             for a, b in years]
+    days = np.unique(np.concatenate([*spans, np.arange(1, _MAX_DAY + 1, 101)]))
+    path = tmp_path / "s.csv"
+    write_series_file(TimeSeries(days=days, values=np.ones(days.size)), path)
+    dates = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+    assert dates == [dt.date.fromordinal(day).isoformat() for day in days.tolist()]
 
 
 @pytest.mark.parametrize("days", [[0], [0, 5], [_MAX_DAY + 1], [5, _MAX_DAY + 1]])
@@ -750,6 +768,9 @@ def test_write_report_rejects_mis_shaped_row(tmp_path, fmt, bad_row):
     path = tmp_path / f"r.{fmt}"
     with pytest.raises(ValueError, match=f"report row 2 has {len(bad_row)} values for 4 columns"):
         write_report(SAMPLE_ROWS + [bad_row], SAMPLE_SCHEMA, path, fmt)
+    # of two bad rows of different lengths, the first is named
+    with pytest.raises(ValueError, match=f"report row 2 has {len(bad_row)} values for 4 columns"):
+        write_report(SAMPLE_ROWS + [bad_row, SAMPLE_ROWS[0], ("d",) * 6], SAMPLE_SCHEMA, path, fmt)
     assert not path.exists()
 
 
@@ -885,6 +906,9 @@ def _csv_module_follows_the_rule(text: str) -> bool:
 @given(_reports())
 # signed zeros, and the None cells of a failed song's row, among floats and ints
 @example(([("a", float), ("b", int)], [(-0.0, 1), (0.0, None), (None, 0), (np.float64(-0.0), None)]))
+# names and cells holding what a %-template or a JSON key would have to escape
+@example(([("%", int), ("%s", str), ("{", float)], [(1, "%s", 0.5), (None, "%%", None)]))
+@example(([('"', str), ("\\", bool), ("%(x)s}", int)], [('{"\\', True, 3), ("%", None, None)]))
 @settings(max_examples=60, deadline=None)
 def test_streamed_writer_matches_the_reference(tmp_path_factory, report):
     schema, rows = report
