@@ -2,15 +2,16 @@
 
 For each lag L the restricted autoregression predicts the target from its own
 L past values; the unrestricted model adds L past values of the source.  Both
-share one column-equilibrated QR factorization of the unrestricted design, the
-restricted one being its leading columns: the squared trailing L entries of
-Q^T y are the improvement in the residual sum of squares.  That improvement
-gives an F statistic with (L, n_eff - 2L - 1) degrees of freedom, n_eff being
-the usable rows after dropping the first L.  Each lag also reports the
-ratio r of the unrestricted to the restricted residual sum of squares, from
-which F = ((1 - r) / r) * df_den / df_num.  Neither depends on the units of
-either series.  A song's verdict comes from the smallest p-value over the swept
-lags compared against alpha.
+come from one R-only QR of the column-equilibrated unrestricted design with
+the target appended, the restricted design being its leading columns: R's last
+column is Q^T y, whose squared trailing L entries are the improvement in the
+residual sum of squares, and its last diagonal entry is the unrestricted
+residual norm.  That improvement gives an F statistic with (L, n_eff - 2L - 1)
+degrees of freedom, n_eff being the usable rows after dropping the first L.
+Each lag also reports the ratio r of the unrestricted to the restricted
+residual sum of squares, from which F = ((1 - r) / r) * df_den / df_num.
+Neither depends on the units of either series.  A song's verdict comes from
+the smallest p-value over the swept lags compared against alpha.
 """
 
 from __future__ import annotations
@@ -116,11 +117,11 @@ def _lagged_design(
     observations that have a full lag history.
     """
     n = len(target)
-    cols = [np.ones(n - lag)]
-    for values in (target, source):
-        for ell in range(1, lag + 1):
-            cols.append(values[lag - ell : n - ell])
-    return np.column_stack(cols), target[lag:]
+    design = np.ones((n - lag, 2 * lag + 1))
+    for ell in range(1, lag + 1):
+        design[:, ell] = target[lag - ell : n - ell]
+        design[:, lag + ell] = source[lag - ell : n - ell]
+    return design, target[lag:]
 
 
 def granger_test(

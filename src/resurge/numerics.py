@@ -1,5 +1,5 @@
-"""Numerical kernels: least squares, F-distribution tails, and damped
-Gauss-Newton over two bounded parameters, for many runs in lockstep.
+"""Numerical kernels: least-squares residuals from an R-only QR, F tails, and
+damped Gauss-Newton over two bounded parameters, for many runs in lockstep.
 
 Everything here is self-contained on top of numpy so the statistical results
 do not depend on the version of any external stats library.
@@ -34,10 +34,9 @@ _CF_TINY = 1e-300
 
 @dataclass(frozen=True)
 class OlsSolution:
-    """Least-squares solution, its sum of squared residuals, and ``effects``:
+    """Sum of squared residuals of a least-squares fit, and ``effects``:
     Q^T y for the thin factorization design = Q R, as in R's ``lm()$effects``."""
 
-    coefficients: np.ndarray
     ssr: float
     effects: np.ndarray
 
@@ -65,12 +64,13 @@ class NlsBatch:
 
 
 def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsSolution:
-    """Solve min ||design @ beta - response||^2 by orthogonal factorization.
+    """Residual sum of squares and effects of min ||design @ beta - response||^2.
 
-    The design is factored rather than squared into normal equations, so the
-    conditioning of the problem is not doubled.  Columns are scaled to unit
-    norm first, so the rank test does not depend on their units.  Raises
-    ValueError on a rank-deficient design ("singular design matrix").
+    One QR of [design | response] gives both without forming Q: the effects
+    are R's last column above the diagonal, the residual norm its last
+    diagonal entry.  Columns are scaled to unit norm first, so the rank test
+    does not depend on their units.  Raises ValueError on a rank-deficient
+    design ("singular design matrix").
     """
     X = np.asarray(design, dtype=np.float64)
     y = np.asarray(response, dtype=np.float64)
@@ -87,13 +87,13 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsSolution:
     norms = np.linalg.norm(X, axis=0)
     if not np.all(norms > 0.0):
         raise ValueError("singular design matrix")
-    q, r = np.linalg.qr(X / norms)
-    if np.abs(np.diag(r)).min() < _RANK_RTOL:
+    augmented = np.empty((n, k + 1))
+    np.divide(X, norms, out=augmented[:, :k])
+    augmented[:, k] = y
+    r = np.linalg.qr(augmented, mode="raw")[0].T  # R is its upper triangle
+    if np.abs(np.diagonal(r)[:k]).min() < _RANK_RTOL:
         raise ValueError("singular design matrix")
-    effects = q.T @ y
-    coef = np.linalg.solve(r, effects) / norms
-    resid = y - X @ coef
-    return OlsSolution(coefficients=coef, ssr=float(resid @ resid), effects=effects)
+    return OlsSolution(ssr=float(r[k, k]) ** 2 if n > k else 0.0, effects=r[:k, k])
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:

@@ -192,12 +192,11 @@ def peak_window(
         reference = values.max()
     threshold = threshold_fraction * reference
     peak = int(np.argmax(values))  # earliest argmax on ties
-    start = peak
-    while start > 0 and values[start - 1] >= threshold:
-        start -= 1
-    end = peak
-    while end < len(series) - 1 and values[end + 1] >= threshold:
-        end += 1
+    # the nearest day below the threshold on each side of the peak, counting
+    # the days just past either end of the series as below it
+    below = np.concatenate(([True], values < threshold, [True]))
+    start = peak - int(below[peak::-1].argmax())
+    end = peak + int(below[peak + 2 :].argmax())
     return Window(start=start, end=end, peak=peak)
 
 

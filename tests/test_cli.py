@@ -1,22 +1,31 @@
 """Command-line behavior on the bundled fixture and on tiny ad-hoc datasets."""
 
+import contextlib
 import dataclasses
+import datetime as dt
 import errno
 import filecmp
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resurge
 from oracles import read_report, write_report_reference
 from resurge import cli, curation, ingest
 from resurge.cli import _GRANGER_FIELDS, RunConfig, main
+from resurge.series import TimeSeries
 
 # outputs of `python -m resurge {pipeline,ccdf} --manifest data/demo/manifest.json
 # --catalog data/demo/catalog.csv --allowlist data/demo/allowlist.txt
@@ -682,3 +691,130 @@ def test_decimal_units_keep_verdicts(capsys, tmp_path, demo_dir):
                 assert list(got) == list(want), (scaling, name)
                 assert all(same_jsonl_value(got[k], want[k], rel_tol=1e-8) for k in want), (
                     scaling, name, got, want)
+
+
+# --- the north star's scale --------------------------------------------------------
+
+# every reason a song can get on these datasets: curation's, then the error rows
+# of granger_report and bass_report
+NORTH_STAR_REASONS = re.compile("|".join([
+    r"kept", r"no web-search series", r"no catalog match", r"release kind is (album|other)",
+    r"released \d{4}-\d\d-\d\d after cutoff", r"insufficient data for interpolation",
+    r"degenerate series", r"no overlapping dates", r"window has \d+ points, need 20",
+    r"degenerate \(constant\) (source|target) series", r"singular design matrix",
+    r"series too short for diffusion fit \(need >= \d+ points\)",
+]))
+# each song's role and the funnel stage it reaches (6 for the kept ones)
+NORTH_STAR_ROLES = {"driven": 6, "independent": 6, "gappy": 6, "allowlisted": 6, "nomatch": 2,
+                    "album": 3, "late": 4, "no_web_search": 1, "no_overlap": 5, "spike": 6}
+
+
+def _north_star_name(rng, words, consonants="cdghklmnprst", vowels="aeiou"):
+    """``words`` capitalized words of 5-7 letters, consonant and vowel in turn."""
+    pools = (consonants, vowels)
+    return " ".join(
+        "".join(pools[i % 2][rng.integers(len(pools[i % 2]))]
+                for i in range(int(rng.integers(5, 8)))).capitalize()
+        for _ in range(words)
+    )
+
+
+def _north_star_song(rng, role, n_days, peak):
+    """(short-video series, web-search series or None): a revival of ``peak``
+    daily views on an earlier bump, and a 0-100 search index."""
+    start = dt.date(2015, 1, 1).toordinal() + int(rng.integers(0, 200))
+    t = np.arange(n_days, dtype=float)
+    center, width = rng.uniform(0.35, 0.7) * n_days, rng.uniform(0.06, 0.15) * n_days
+    views = peak * (np.exp(-0.5 * ((t - center) / width) ** 2)
+                    + 0.3 * np.exp(-0.5 * ((t - 0.2 * n_days) / (0.5 * width)) ** 2)
+                    + rng.uniform(0.0, 0.01, n_days))
+    if role == "spike":
+        views = np.zeros(n_days)
+        views[int(center): int(center) + 3] = peak
+    if role in ("driven", "gappy", "allowlisted"):
+        lag = int(rng.integers(1, 4))
+        index = 100.0 * np.concatenate([views[:1].repeat(lag), views[:-lag]]) / views.max()
+        index = index * rng.uniform(0.7, 1.0) + rng.normal(0.0, 2.0, n_days)
+    else:
+        index = 40.0 + np.cumsum(rng.normal(0.0, 3.0, n_days))
+    index = np.clip(np.round(index), 0.0, 100.0)
+    sv_days = ws_days = np.arange(start, start + n_days)
+    if role == "gappy":  # 30% of the days missing on each platform, both ends kept
+        sv_days, ws_days = (np.unique(np.concatenate([[0, n_days - 1], rng.choice(
+            n_days, int(0.7 * n_days), replace=False)])) + start for _ in range(2))
+    if role == "no_overlap":
+        ws_days = ws_days - n_days - 30
+    short_video = TimeSeries(days=sv_days, values=views[sv_days - start])
+    if role == "no_web_search":
+        return short_video, None
+    return short_video, TimeSeries(days=ws_days, values=index[ws_days - ws_days[0]])
+
+
+def north_star_dataset(directory, seed, n_days, entries, peak):
+    """One song per role of ``NORTH_STAR_ROLES`` against a catalog of
+    ``entries`` releases: each song's own, three near-miss decoys of it (an
+    album rework, a title one letter off, the artist one letter off), and
+    filler releases by the same artists.  Returns the pipeline arguments."""
+    rng = np.random.default_rng(seed)
+    records, catalog, allow = [], [], []
+    artists = [_north_star_name(rng, 2) for _ in range(5)]
+    before, after = dt.date(2010, 6, 1), dt.date(2018, 3, 1)
+    for k, role in enumerate(NORTH_STAR_ROLES):
+        song_id = f"ns-{k:02d}"
+        if role == "nomatch":
+            title, artist = (_north_star_name(rng, 2, "fjqvwxz", "fjqvwxz") for _ in range(2))
+        else:
+            title, artist = _north_star_name(rng, 3), artists[k % len(artists)]
+        if role == "allowlisted":
+            allow.append(song_id)
+        elif role != "nomatch":
+            kind = "album" if role == "album" else "single"
+            catalog.append((title, artist, after if role == "late" else before, kind))
+            swapped = title[:2] + ("x" if title[2] != "x" else "y") + title[3:]
+            catalog += [(f"{title} (Rework)", artist, before - dt.timedelta(days=1), "album"),
+                        (swapped, artist, before - dt.timedelta(days=2), "single"),
+                        (title, artist[:-1] + "z", before - dt.timedelta(days=3), "other")]
+        short_video, web_search = _north_star_song(rng, role, n_days, peak)
+        records.append(curation.SongRecord(song_id, f"{title} by {artist}", short_video, web_search))
+    while len(catalog) < entries:
+        released = dt.date.fromordinal(int(rng.integers(before.toordinal(), after.toordinal())))
+        catalog.append((_north_star_name(rng, 3), artists[int(rng.integers(len(artists)))], released,
+                        ("single", "album", "other")[int(rng.integers(3))]))
+    catalog = [catalog[i] for i in rng.permutation(len(catalog))]
+
+    ingest.write_dataset(records, directory / "manifest.json", "series")
+    (directory / "catalog.csv").write_text("title,artist,release_date,release_kind\n" + "".join(
+        f"{t},{a},{d.isoformat()},{kind}\n" for t, a, d, kind in catalog))
+    (directory / "allowlist.txt").write_text("".join(i + "\n" for i in allow))
+    return ["--manifest", str(directory / "manifest.json"), "--catalog", str(directory / "catalog.csv"),
+            "--allowlist", str(directory / "allowlist.txt"), "--peak-basis", "peak"]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_days=st.integers(300, 700),
+       entries=st.integers(1000, 3000), peak=st.floats(1e9, 1e10))
+@settings(max_examples=4, deadline=None)
+def test_north_star_scale_pipeline(seed, n_days, entries, peak):
+    """Peaks of 1e9-1e10 views, 300-700-day series with gaps, 1000-3000
+    catalog entries: exit 0 with nothing on stderr and no warning, the same
+    bytes from two runs, and every drop or failure a reason from the set."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        directory = Path(tmp)
+        args = north_star_dataset(directory, seed, n_days, entries, peak)
+        outputs = []
+        for run in ("a", "b"):
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["pipeline", *args, "--out-dir", str(directory / run)])
+            assert (code, err.getvalue()) == (0, ""), err.getvalue()
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
+        assert compare_trees(directory / "a", directory / "b") == []
+        rows = read_report(directory / "a" / "curate_report.jsonl", "jsonl")
+        assert [row["stage_reached"] for row in rows] == list(NORTH_STAR_ROLES.values())
+        reasons = [row["reason"] for row in rows]
+        for name in ("granger_report", "bass_report"):
+            reasons += [row["error"] for row in read_report(directory / "a" / f"{name}.jsonl", "jsonl")
+                        if row["error"] is not None]
+        for reason in reasons:
+            assert NORTH_STAR_REASONS.fullmatch(reason), reason

@@ -146,6 +146,26 @@ def test_matches_independent_oracle():
             assert lag_result.f_stat == pytest.approx(f_from_ratio(lag_result), rel=1e-12)
 
 
+def test_near_collinear_pair_at_scale_matches_oracle():
+    """450 days at 1e9 views, the target the source (or the source a day
+    earlier) to 1e-4 relative, so its lag columns nearly repeat the source's."""
+    rng = np.random.default_rng(5)
+    n = 450
+    walk = np.empty(n)
+    walk[0] = 0.0
+    noise = rng.normal(0.0, 1.0, n)
+    for t in range(1, n):
+        walk[t] = 0.7 * walk[t - 1] + noise[t]
+    source = 1e9 * (20.0 + walk)
+    for shift in (0, 1):
+        target = 3e9 * (20.0 + np.roll(walk, shift)) * (1.0 + 1e-4 * rng.normal(0.0, 1.0, n))
+        result = granger_test(ts(source), ts(target))
+        expected = oracles.granger_pvalues_oracle(source, target)
+        for lag_result, (f_ref, p_ref) in zip(result.per_lag, expected):
+            assert lag_result.f_stat == pytest.approx(f_ref, rel=1e-8)
+            assert lag_result.p_value == pytest.approx(p_ref, rel=1e-8, abs=1e-12)
+
+
 # OpenBLAS kernels with the CPU feature each needs.  A kernel this CPU lacks is
 # skipped; a BLAS other than OpenBLAS ignores OPENBLAS_CORETYPE.
 OPENBLAS_KERNELS = {"SkylakeX": "AVX512_SKX", "Haswell": "AVX2", "Sandybridge": "AVX"}

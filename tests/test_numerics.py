@@ -29,7 +29,7 @@ F_1_10_AT_P05 = 4.9646027437307144
 def test_ols_constant_column_exact():
     design = np.ones((7, 1))
     sol = ols_fit(design, np.full(7, 3.25))
-    assert sol.coefficients[0] == pytest.approx(3.25, abs=1e-14)
+    assert abs(sol.effects[0]) == pytest.approx(3.25 * math.sqrt(7.0), rel=1e-14)
     assert sol.ssr == pytest.approx(0.0, abs=1e-24)
 
 
@@ -39,23 +39,25 @@ def test_ols_noiseless_line():
     design = np.column_stack([np.ones(n), x])
     response = 2.0 + 3.0 * x
     sol = ols_fit(design, response)
-    assert abs(sol.coefficients[0] - 2.0) < 1e-10
-    assert abs(sol.coefficients[1] - 3.0) < 1e-10
+    assert sol.effects @ sol.effects == pytest.approx(response @ response, rel=1e-14)
     assert sol.ssr <= 1e-18 * n
 
 
 def test_ols_matches_normal_equations_oracle():
+    """The ssr, and each effect as the drop in the oracle's ssr when its
+    column joins the columns before it."""
     rng = np.random.default_rng(7)
     design = rng.normal(size=(50, 3))
     response = rng.normal(size=50)
     sol = ols_fit(design, response)
-    coef, ssr = oracles.normal_equations_ols(design, response)
-    np.testing.assert_allclose(sol.coefficients, coef, rtol=1e-8, atol=1e-10)
-    assert sol.ssr == pytest.approx(ssr, rel=1e-8)
+    nested = [response @ response]
+    nested += [oracles.normal_equations_ols(design[:, :j], response)[1] for j in (1, 2, 3)]
+    assert sol.ssr == pytest.approx(nested[-1], rel=1e-8)
+    np.testing.assert_allclose(sol.effects**2, -np.diff(nested), rtol=1e-8)
 
 
 def test_ols_column_scaling_invariance():
-    """Scaling one column by 1e12 leaves the ssr and rescales its coefficient."""
+    """Scaling one column by 1e12 leaves the ssr and the effects."""
     rng = np.random.default_rng(3)
     design = np.column_stack([np.ones(40), rng.normal(20.0, 2.0, (40, 2))])
     response = rng.normal(size=40)
@@ -64,18 +66,39 @@ def test_ols_column_scaling_invariance():
     base = ols_fit(design, response)
     sol = ols_fit(scaled, response)
     assert sol.ssr == pytest.approx(base.ssr, rel=1e-9)
-    assert sol.coefficients[2] == pytest.approx(base.coefficients[2] * 1e-12, rel=1e-9)
+    np.testing.assert_allclose(sol.effects, base.effects, rtol=1e-9)
 
 
 def test_ols_residual_orthogonal_to_design():
+    """The residual splits the response at a right angle from the fit, and
+    adding any multiple of a design column to the response leaves it."""
     rng = np.random.default_rng(11)
     design = rng.normal(size=(30, 4))
     response = rng.normal(size=30)
     sol = ols_fit(design, response)
-    resid = response - design @ sol.coefficients
+    assert sol.ssr + sol.effects @ sol.effects == pytest.approx(response @ response, rel=1e-12)
     for j in range(design.shape[1]):
-        bound = 1e-8 * np.linalg.norm(design[:, j]) * np.linalg.norm(resid)
-        assert abs(design[:, j] @ resid) <= max(bound, 1e-12)
+        shifted = ols_fit(design, response + 5.0 * design[:, j])
+        assert shifted.ssr == pytest.approx(sol.ssr, rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(238, 12), (25, 4), (7, 2), (6, 7)])
+def test_ols_qr_layout(shape):
+    """numpy's ``mode="raw"`` factor, transposed, holds R from ``mode="r"``
+    bit for bit in its upper triangle, and ``ols_fit`` reads its effects and
+    ssr from the last column of R of the equilibrated [design | response];
+    where n == k, as in ``(6, 7)``, R has no residual entry."""
+    rng = np.random.default_rng(shape[0])
+    k = shape[1] - 1
+    design, response = rng.normal(size=(shape[0], k)), rng.normal(size=shape[0])
+    augmented = np.column_stack([design / np.linalg.norm(design, axis=0), response])
+    raw = np.linalg.qr(augmented, mode="raw")[0]
+    r = np.linalg.qr(augmented, mode="r")
+    assert raw.shape == shape[::-1]
+    assert np.array_equal(np.triu(raw.T)[: min(shape)], r)
+    sol = ols_fit(design, response)
+    assert np.array_equal(sol.effects, r[:k, k])
+    assert sol.ssr == (float(r[k, k]) ** 2 if shape[0] > k else 0.0)
 
 
 def test_ols_singular_design_rejected():
