@@ -18,7 +18,7 @@ batch, and ``fit_cumulative`` and ``fit_bass`` are batches of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -97,6 +97,10 @@ class BassFit:
     rmse: float
     converged: bool
     n_points: int
+    # the window fitted, as views: its times, observed and fitted fractions
+    offsets: np.ndarray = field(compare=False, repr=False)
+    observed: np.ndarray = field(compare=False, repr=False)
+    fitted: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -278,6 +282,9 @@ def _fit_windows(windows: list[tuple[np.ndarray, np.ndarray]]) -> list[BassFit]:
     run_of = np.zeros((len(windows), _REFINE_STARTS), dtype=np.intp)
     run_of[run_window, run_rank] = np.arange(run_window.size)
     best = run_of[np.arange(len(windows)), best_rank]
+    params = result.params[best]
+    # each window's (p, q) over its points: per point, bass_cumulative's float operations
+    fitted = _cumulative_for(*np.repeat(params, sizes, axis=0).T, times)
 
     return [
         BassFit(
@@ -286,12 +293,14 @@ def _fit_windows(windows: list[tuple[np.ndarray, np.ndarray]]) -> list[BassFit]:
             rmse=norm / math.sqrt(n_points),
             converged=converged,
             n_points=n_points,
+            offsets=times[window], observed=observed[window], fitted=fitted[window],
         )
-        for (p, q), norm, converged, n_points in zip(
-            result.params[best].tolist(),
+        for (p, q), norm, converged, n_points, window in zip(
+            params.tolist(),
             result.residual_norm[best].tolist(),
             result.run_converged[best].tolist(),
             sizes.tolist(),
+            map(slice, starts.tolist(), (starts + sizes).tolist()),
         )
     ]
 

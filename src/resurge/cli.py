@@ -223,21 +223,14 @@ def _scatter_rows(batch: bass_mod.BassBatch) -> list[tuple]:
     ]
 
 
-def _overlay_rows(batch: bass_mod.BassBatch, flagged: list[curation.SongRecord]) -> list[tuple]:
+def _overlay_rows(batch: bass_mod.BassBatch) -> list[tuple]:
     rows = []
-    # batch_bass keeps input order, so item i is the fit of flagged[i]
-    for item, record in zip(batch.items, flagged):
-        if item.error is not None:
-            continue
-        for platform, fit, ts in (
-            ("short_video", item.short_video, record.short_video_series),
-            ("web_search", item.web_search, record.web_search_series),
-        ):
-            observed = series.cumulative_normalized(ts)
-            offsets = ts.days - ts.days[0]
-            fitted = bass_mod.bass_cumulative(fit.params, offsets.astype(np.float64))
-            rows.extend(zip([item.song_id] * len(ts), [platform] * len(ts), offsets.tolist(),
-                            observed.values.tolist(), fitted.tolist()))
+    for item in batch.items:
+        if item.error is None:
+            for platform, fit in (("short_video", item.short_video), ("web_search", item.web_search)):
+                rows.extend(zip([item.song_id] * fit.n_points, [platform] * fit.n_points,
+                                fit.offsets.astype(np.int64).tolist(), fit.observed.tolist(),
+                                fit.fitted.tolist()))
     return rows
 
 
@@ -267,7 +260,6 @@ class _Result:
     kept: list[curation.SongRecord] = field(default_factory=list)
     report: curation.CurationReport | None = None
     batch: granger.GrangerBatch | None = None
-    flagged: list[curation.SongRecord] = field(default_factory=list)
     fits: bass_mod.BassBatch | None = None
     totals: list[float] = field(default_factory=list)
 
@@ -304,8 +296,7 @@ def _run(config: RunConfig, through: str) -> _Result:
     causal_ids = {
         item.song_id for item in result.batch.items if item.result is not None and item.result.causal
     }
-    result.flagged = [record for record in result.kept if record.song_id in causal_ids]
-    result.fits = bass_mod.batch_bass(result.flagged)
+    result.fits = bass_mod.batch_bass(record for record in result.kept if record.song_id in causal_ids)
     return result
 
 
@@ -334,9 +325,9 @@ def _write_bass(config: RunConfig, result: _Result) -> None:
     fits = result.fits
     _write_report(config, "bass_report", _bass_rows(fits, config), _BASS_FIELDS)
     _write_report(config, "bass_scatter", _scatter_rows(fits), _SCATTER_FIELDS)
-    _write_report(config, "bass_overlay", _overlay_rows(fits, result.flagged), _OVERLAY_FIELDS)
+    _write_report(config, "bass_overlay", _overlay_rows(fits), _OVERLAY_FIELDS)
     print(
-        f"diffusion fits: {fits.n_fits} fits over {len(result.flagged)} flagged songs "
+        f"diffusion fits: {fits.n_fits} fits over {fits.n_total} flagged songs "
         f"({fits.n_failed} failed)"
     )
 

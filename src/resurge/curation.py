@@ -24,7 +24,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .series import TimeSeries, align_pair, interpolate_daily, peak_window
+from .series import PEAK_BASES, TimeSeries, align_pair, interpolate_daily, peak_window
 
 __all__ = [
     "DEFAULT_CUTOFF",
@@ -288,11 +288,16 @@ def curate(
 
     Kept records carry the processed (windowed, aligned) series.  Allowlisted
     records are never matched against the catalog.
-    Raises on duplicate song identifiers; everything else is recorded as a
-    per-song drop with the stage it failed at.
+    Raises ValueError on an out-of-range knob or a duplicate song identifier,
+    before any song is screened; everything else is recorded as a per-song
+    drop with the stage it failed at.
     """
     if min_points < 1:
         raise ValueError("min_points must be at least 1")
+    if not 0.0 < peak_threshold < 1.0:
+        raise ValueError("peak_threshold must lie in (0, 1)")
+    if peak_basis not in PEAK_BASES:
+        raise ValueError("peak_basis must be 'total' or 'peak'")
     seen: set[str] = set()
     for record in records:
         if record.song_id in seen:

@@ -196,7 +196,10 @@ def batch_granger(
     Each record supplies the short-video series as source and the web-search
     series as target.  A record that fails (too short, constant, singular)
     becomes an error item; the batch keeps going and preserves input order.
+    An ``alpha`` outside (0, 1) is a ValueError before any record is tested.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     items = []
     for record in records:
         try:

@@ -23,7 +23,7 @@ from resurge.bass import (
     _cumulative_and_jacobian,
 )
 from resurge.curation import SongRecord
-from resurge.series import TimeSeries
+from resurge.series import TimeSeries, cumulative_normalized
 
 params_strategy = st.builds(
     BassParams,
@@ -312,6 +312,16 @@ def fit_bits(fit):
     )
 
 
+def assert_carries_window(fit, series):
+    """The fit holds, bit for bit, the day offsets and cumulative fractions it
+    was fitted on and its own curve at those offsets."""
+    offsets = (series.days - series.days[0]).astype(np.float64)
+    bits = lambda a: (a.dtype.str, a.tobytes())
+    assert bits(fit.offsets) == bits(offsets)
+    assert bits(fit.observed) == bits(cumulative_normalized(series).values)
+    assert bits(fit.fitted) == bits(bass_cumulative(fit.params, offsets))
+
+
 def noisy_window(p, q, n_days, noise, seed):
     """A window of daily increments: the curve's, each scaled by its own noise factor."""
     rng = np.random.default_rng(seed)
@@ -347,6 +357,8 @@ def test_batch_fits_are_bit_identical_to_each_window_alone(windows, random):
         assert item.error is None
         assert fit_bits(item.short_video) == alone[id(record.short_video_series)]
         assert fit_bits(item.web_search) == alone[id(record.web_search_series)]
+        assert_carries_window(item.short_video, record.short_video_series)
+        assert_carries_window(item.web_search, record.web_search_series)
 
 
 def test_batch_reports_each_failure_in_record_order():
@@ -371,10 +383,13 @@ def test_batch_reports_each_failure_in_record_order():
     assert [item.error for item in batch.items[1::2]] == [message for _, message in failing]
     assert all(item.short_video is None and item.web_search is None for item in batch.items[1::2])
     expected = {item.song_id: item for item in batch_bass(fine).items}
-    for item in batch.items[::2]:
+    for item, record in zip(batch.items[::2], records[::2]):
         assert item.error is None
         assert fit_bits(item.short_video) == fit_bits(expected[item.song_id].short_video)
         assert fit_bits(item.web_search) == fit_bits(expected[item.song_id].web_search)
+        # the windows after each failure still line up with their fits
+        assert_carries_window(item.short_video, record.short_video_series)
+        assert_carries_window(item.web_search, record.web_search_series)
     assert batch.n_failed == len(failing)
 
     assert batch_bass([]).items == ()

@@ -437,6 +437,26 @@ def test_duplicate_ids_rejected():
         curate(records, CATALOG)
 
 
+@pytest.mark.parametrize(
+    "knob, message",
+    [
+        ({"min_points": 0}, "min_points must be at least 1"),
+        ({"peak_threshold": 0.0}, r"peak_threshold must lie in \(0, 1\)"),
+        ({"peak_threshold": 1.5}, r"peak_threshold must lie in \(0, 1\)"),
+        ({"peak_threshold": float("nan")}, r"peak_threshold must lie in \(0, 1\)"),
+        ({"peak_basis": "median"}, "peak_basis must be 'total' or 'peak'"),
+    ],
+    ids=["min_points=0", "peak_threshold=0", "peak_threshold=1.5", "peak_threshold=nan", "peak_basis=median"],
+)
+def test_out_of_range_knobs_rejected_before_screening(monkeypatch, knob, message):
+    screened = []
+    monkeypatch.setattr(curation, "match_catalog", lambda record, *args: screened.append(record))
+    monkeypatch.setattr(curation, "interpolate_daily", lambda series: screened.append(series))
+    with pytest.raises(ValueError, match=message):
+        run_fixture(**knob)
+    assert screened == []
+
+
 def test_threshold_and_min_points_monotonicity():
     kept_by_threshold = [
         len(run_fixture(match_threshold=t)[0]) for t in (30, 50, 70)

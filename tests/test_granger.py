@@ -340,3 +340,15 @@ def test_batch_captures_per_record_errors():
     assert "web-search" in batch.items[1].error
     assert "degenerate" in batch.items[2].error
     assert "too short" in batch.items[3].error
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, float("nan")])
+def test_batch_rejects_alpha_outside_unit_interval(alpha):
+    source, target = planted_pair(seed=0)
+    records = iter([record("ok", source, target)])
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        batch_granger(records, alpha=alpha)
+    # rejected before any record is read
+    assert next(records).song_id == "ok"
+    with pytest.raises(ValueError, match="alpha"):
+        batch_granger([], alpha=alpha)
