@@ -235,7 +235,8 @@ def _overlay_rows(batch: bass_mod.BassBatch) -> list[tuple]:
 
 
 def _ccdf_rows(totals: list[float]) -> tuple[list[tuple], list[tuple]]:
-    point_rows = [(pt.popularity, pt.fraction_above) for pt in series.ccdf(totals)]
+    popularity, fraction_above = series.ccdf(totals)
+    point_rows = list(zip(popularity.tolist(), fraction_above.tolist()))
     arr = np.asarray(totals, dtype=np.float64)
     q1, median, q3 = np.quantile(arr, [0.25, 0.5, 0.75]).tolist()
     return point_rows, [(arr.size, float(arr.min()), q1, median, q3, float(arr.max()))]

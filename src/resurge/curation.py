@@ -323,7 +323,7 @@ def curate(
             short_video = interpolate_daily(record.short_video_series)
             web_search = interpolate_daily(record.web_search_series)
             window = peak_window(short_video, peak_threshold, peak_basis)
-            short_video, web_search = align_pair(short_video.window_slice(window), web_search)
+            short_video, web_search = align_pair(window, web_search)
         except ValueError as exc:
             return 5, str(exc), None
         if len(short_video) < min_points:

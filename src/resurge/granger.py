@@ -162,11 +162,16 @@ def granger_test(
         gain = float(fit.effects[1 + lag :] @ fit.effects[1 + lag :])
         ssr_restricted = fit.ssr + gain
         # Where the target's own lags predict it exactly, both sums are rounding
-        # and their ratio depends on the LAPACK kernel.  A restricted sum at or
-        # below n_eff * eps * (y @ y), a residual norm within sqrt(n_eff * eps)
-        # (about 1e-7) of y's, counts as such a fit: F = 0.  y is the
-        # power-of-two-scaled target, so the floor scales with the data.
-        if ssr_restricted <= n_eff * np.finfo(np.float64).eps * float(y @ y):
+        # and their ratio depends on the LAPACK kernel.  A residual norm within
+        # sqrt(n_eff * eps) (about 1e-7) of the centred y's, or, where y is
+        # constant over the rows, within the QR's rounding of y's own, counts as
+        # such a fit: F = 0.  Centring absorbs an offset as the intercept does:
+        # offsets up to 1e9 keep the verdict, though larger ones can fail the
+        # rank test on the uncentred lag columns.  y is power-of-two scaled, so
+        # the floor scales with the data.
+        eps_n = n_eff * np.finfo(np.float64).eps
+        yc = y - y.mean()
+        if ssr_restricted <= eps_n * float(yc @ yc) + eps_n**2 * float(y @ y):
             f_stat, ssr_ratio = 0.0, 1.0
         else:
             f_stat = (gain / lag) / (fit.ssr / df_den) if fit.ssr > 0.0 else np.inf

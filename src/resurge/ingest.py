@@ -227,7 +227,7 @@ def _parse_series_lines(path, text: str) -> TimeSeries:
     if not rows:
         raise ParseError(path, None, "no data rows")
     rows.sort(key=lambda r: r[0])
-    return TimeSeries.from_points(rows)
+    return TimeSeries(*zip(*rows))
 
 
 def write_series_file(series: TimeSeries, path) -> None:

@@ -8,15 +8,13 @@ live in :mod:`resurge.ingest` so everything here stays arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence, get_args
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
 __all__ = [
     "PEAK_BASES",
     "TimeSeries",
-    "Window",
-    "CcdfPoint",
     "interpolate_daily",
     "peak_window",
     "align_pair",
@@ -51,7 +49,7 @@ class TimeSeries:
             raise ValueError("days must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if values.size and values.min() < 0.0:
+        if values.min() < 0.0:
             raise ValueError("values must be non-negative")
         # -0.0 + 0.0 is 0.0 and x + 0.0 is x for every other x, bit for bit;
         # the series file grammar has no sign, so -0.0 could not be written back
@@ -60,14 +58,6 @@ class TimeSeries:
         values.setflags(write=False)
         object.__setattr__(self, "days", days)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_points(cls, points: Iterable[tuple[int, float]]) -> "TimeSeries":
-        pts = list(points)
-        return cls(
-            days=np.array([p[0] for p in pts], dtype=np.int64),
-            values=np.array([p[1] for p in pts], dtype=np.float64),
-        )
 
     def __len__(self) -> int:
         return int(self.days.size)
@@ -97,15 +87,6 @@ class TimeSeries:
         with np.errstate(over="ignore"):
             return float(self.values.sum())
 
-    def window_slice(self, window: "Window") -> "TimeSeries":
-        """Sub-series covering ``window`` (indices into this series)."""
-        if not (0 <= window.start <= window.end < len(self)):
-            raise ValueError("window does not fit the series")
-        return TimeSeries(
-            days=self.days[window.start : window.end + 1],
-            values=self.values[window.start : window.end + 1],
-        )
-
 
 def _overflow_free(reduce, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``reduce(values)`` and *values*, rescaled where that overflows float64.
@@ -122,28 +103,6 @@ def _overflow_free(reduce, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return result, values
     scaled = np.ldexp(values, -int(np.frexp(values.max())[1]))
     return reduce(scaled), scaled
-
-
-@dataclass(frozen=True)
-class Window:
-    """Index range [start, end] around a peak, inclusive on both ends."""
-
-    start: int
-    end: int
-    peak: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.start <= self.peak <= self.end):
-            raise ValueError("window indices must satisfy start <= peak <= end")
-
-    def __len__(self) -> int:
-        return self.end - self.start + 1
-
-
-@dataclass(frozen=True)
-class CcdfPoint:
-    popularity: float
-    fraction_above: float
 
 
 def interpolate_daily(series: TimeSeries) -> TimeSeries:
@@ -169,15 +128,16 @@ def peak_window(
     series: TimeSeries,
     threshold_fraction: float = 0.05,
     basis: PeakBasis = "total",
-) -> Window:
-    """Contiguous window around the global peak where values stay on-threshold.
+) -> TimeSeries:
+    """The sub-series around the global peak where values stay on-threshold.
 
     The threshold is ``threshold_fraction`` times either the series total or
     the peak value.  Starting from the earliest global argmax, the window
     extends in both directions up to, but not including, the first day whose
     value falls strictly below the threshold.  The peak day itself is always
     included.  Where the total overflows float64, the total and the
-    comparisons run on the values times a power of two (``_overflow_free``).
+    comparisons run on the values times a power of two (``_overflow_free``);
+    the returned values are the series' own either way.
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError("threshold_fraction must lie in (0, 1)")
@@ -197,7 +157,7 @@ def peak_window(
     below = np.concatenate(([True], values < threshold, [True]))
     start = peak - int(below[peak::-1].argmax())
     end = peak + int(below[peak + 2 :].argmax())
-    return Window(start=start, end=end, peak=peak)
+    return TimeSeries(days=series.days[start : end + 1], values=series.values[start : end + 1])
 
 
 def align_pair(a: TimeSeries, b: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
@@ -230,11 +190,11 @@ def cumulative_normalized(series: TimeSeries) -> TimeSeries:
     return TimeSeries(days=series.days, values=cum / total)
 
 
-def ccdf(values: Sequence[float]) -> list[CcdfPoint]:
+def ccdf(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Complementary CDF over the distinct input values.
 
-    For each distinct value v the point carries the fraction of inputs
-    strictly greater than v; points come out sorted by value ascending.
+    Returns the distinct values, ascending, and for each value v the fraction
+    of inputs strictly greater than v.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -245,7 +205,4 @@ def ccdf(values: Sequence[float]) -> list[CcdfPoint]:
     distinct = np.unique(ordered)
     n = arr.size
     above = n - np.searchsorted(ordered, distinct, side="right")
-    return [
-        CcdfPoint(popularity=float(v), fraction_above=float(c) / n)
-        for v, c in zip(distinct, above)
-    ]
+    return distinct, above / n

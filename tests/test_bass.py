@@ -329,6 +329,7 @@ def noisy_window(p, q, n_days, noise, seed):
     return TimeSeries(days=series.days, values=series.values * rng.lognormal(0.0, noise, n_days))
 
 
+@pytest.mark.bit_identity
 @given(
     st.lists(
         st.builds(
@@ -361,6 +362,7 @@ def test_batch_fits_are_bit_identical_to_each_window_alone(windows, random):
         assert_carries_window(item.web_search, record.web_search_series)
 
 
+@pytest.mark.bit_identity
 def test_batch_reports_each_failure_in_record_order():
     good = [increments_series(BassParams(p, q)) for p, q in ((0.03, 0.5), (0.01, 0.2), (0.08, 0.9))]
     short = TimeSeries(days=np.arange(10), values=np.ones(10))

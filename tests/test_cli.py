@@ -276,6 +276,7 @@ def test_bass_on_demo(capsys, tmp_path, demo_dir):
         assert 0.0 <= row["fitted_cum"] <= 1.0
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_bass_rows_do_not_depend_on_the_other_fits(capsys, tmp_path, demo_dir, fmt):
     # the demo flags one song; copies of it with rescaled series are flagged
@@ -653,6 +654,7 @@ def scaled_pipeline(capsys, directory, demo_dir, short_video, web_search):
     return capsys.readouterr(), files
 
 
+@pytest.mark.bit_identity
 def test_power_of_two_units_leave_outputs_bit_identical(capsys, tmp_path, demo_dir):
     # (short-video k, web-search k): each platform's values scaled by 2^k
     scalings = [(0, 0), (100, 0), (990, 0), (-1000, 0), (0, -100), (900, 900)]
@@ -665,6 +667,7 @@ def test_power_of_two_units_leave_outputs_bit_identical(capsys, tmp_path, demo_d
         assert run == runs[0], scaling
 
 
+@pytest.mark.bit_identity
 def test_decimal_units_keep_verdicts(capsys, tmp_path, demo_dir):
     # (short-video factor, web-search factor): values round differently, yet
     # verdicts and Granger figures must not move, and Bass floats only by rounding

@@ -215,6 +215,7 @@ def tied_catalogs(draw):
     return display, catalog
 
 
+@pytest.mark.bit_identity
 @given(tied_catalogs(), st.integers(0, 100))
 @settings(max_examples=150, deadline=None)
 def test_match_catalog_pruning_is_lossless(case, threshold):

@@ -186,11 +186,13 @@ def test_target_its_own_lags_predict_exactly():
     0.0 or rounding-sized depending on the LAPACK kernel: on the second pair,
     F taken from those sums is 0, 21.0 (p = 1.6e-4, causal) and 0.0049 under
     OpenBLAS's SkylakeX, Haswell and Sandybridge kernels.  The restricted sum
-    is under n_eff * eps * (y @ y), so every kernel gives F = 0, p = 1 and
-    ratio 1.0."""
+    is under the rounding floor, so every kernel gives F = 0, p = 1 and ratio
+    1.0.  In the third pair y is constant over the estimation rows, so the
+    centred y is 0 and only the floor's uncentred term catches the fit."""
     pairs = [
         ([2.0, 2.0, 2.0, 3.0] + [2.0] * 21, [2.0, 1.0] * 12 + [2.0]),
         ([3.0, 2.0] * 9 + [4.0, 2.0, 3.0, 2.0, 3.0, 2.0, 3.0], [4.0, 2.0] * 12 + [4.0]),
+        ([3.0, 2.0] * 9 + [4.0, 2.0, 3.0, 2.0, 3.0, 2.0, 3.0], [5.0] + [3.0] * 24),
     ]
     for source, target in pairs:
         lag1 = granger_test(ts(source), ts(target), LagSpec(1, 1)).per_lag[0]
@@ -223,6 +225,21 @@ def test_affine_rescaling_invariance():
                     assert abs(a.p_value - b.p_value) <= 1e-8
 
 
+def test_large_target_offsets_keep_the_verdict():
+    """The intercept absorbs a constant added to the target, and so does the
+    rounding floor: offsets up to 1e9 keep the verdict, F and p."""
+    for seed in (2, 3):
+        source_values, target_values, _ = oracles.synth_pair_values(seed)
+        base = granger_test(ts(source_values), ts(target_values))
+        for offset in (1e7, 1e8, 1e9):
+            shifted = granger_test(ts(source_values), ts(target_values + offset))
+            assert shifted.causal == base.causal
+            for a, b in zip(base.per_lag, shifted.per_lag):
+                assert b.f_stat == pytest.approx(a.f_stat, rel=1e-6)
+                assert abs(a.p_value - b.p_value) <= 1e-6
+
+
+@pytest.mark.bit_identity
 @pytest.mark.filterwarnings("error")
 def test_extreme_units_change_nothing(capfd):
     """Scaling by 2**k, k up to ±1000, keeps F, p, the ssr ratio and the

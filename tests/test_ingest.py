@@ -353,6 +353,7 @@ def test_bulk_reader_matches_the_grammar_in_regex_reference(tmp_path_factory, te
     (_MAX_DAY, 1.7976931348623157e308),
 ])
 # leap days, the skipped 1900-02-29, and the first and last day the writer spells
+@pytest.mark.bit_identity
 @example([(dt.date(4, 2, 29).toordinal(), 1.0)])
 @example([(dt.date(1900, 2, 28).toordinal(), 1.0), (dt.date(1900, 3, 1).toordinal(), 2.0)])
 @example([(dt.date(2000, 2, 29).toordinal(), 0.5)])
@@ -367,6 +368,7 @@ def test_series_writer_matches_the_reference(tmp_path_factory, rows):
     assert (directory / "bulk.csv").read_bytes() == (directory / "reference.csv").read_bytes()
 
 
+@pytest.mark.bit_identity
 def test_series_writer_spells_each_date_as_isoformat_does(tmp_path):
     # every day of the years around the ends and the century leap rules, and
     # every 101st day of the calendar, which steps through each month and day
@@ -380,6 +382,7 @@ def test_series_writer_spells_each_date_as_isoformat_does(tmp_path):
     assert dates == [dt.date.fromordinal(day).isoformat() for day in days.tolist()]
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("days", [[0], [0, 5], [_MAX_DAY + 1], [5, _MAX_DAY + 1]])
 def test_series_writer_rejects_days_outside_years_1_to_9999(tmp_path, days):
     path = tmp_path / "s.csv"
@@ -907,6 +910,7 @@ def _csv_module_follows_the_rule(text: str) -> bool:
 # signed zeros, and the None cells of a failed song's row, among floats and ints
 @example(([("a", float), ("b", int)], [(-0.0, 1), (0.0, None), (None, 0), (np.float64(-0.0), None)]))
 # names and cells holding what a %-template or a JSON key would have to escape
+@pytest.mark.bit_identity
 @example(([("%", int), ("%s", str), ("{", float)], [(1, "%s", 0.5), (None, "%%", None)]))
 @example(([('"', str), ("\\", bool), ("%(x)s}", int)], [('{"\\', True, 3), ("%", None, None)]))
 @settings(max_examples=60, deadline=None)

@@ -82,6 +82,7 @@ def test_ols_residual_orthogonal_to_design():
         assert shifted.ssr == pytest.approx(sol.ssr, rel=1e-10)
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("shape", [(238, 12), (25, 4), (7, 2), (6, 7)])
 def test_ols_qr_layout(shape):
     """numpy's ``mode="raw"`` factor, transposed, holds R from ``mode="r"``
@@ -630,6 +631,7 @@ windows_strategy = st.lists(
 )
 
 
+@pytest.mark.bit_identity
 @given(
     windows_strategy,
     st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
@@ -685,6 +687,7 @@ EDGE_MODELS = {
 EDGE_BOUNDS = [(-2.0, 10.0), UNBOUNDED]
 
 
+@pytest.mark.bit_identity
 @given(
     st.lists(
         st.tuples(st.sampled_from(sorted(EDGE_MODELS)), st.floats(-2.0, 1.0), st.floats(-5.0, 5.0)),
@@ -701,6 +704,7 @@ def test_lockstep_edge_runs_are_the_per_run_loop(runs, max_iter, tol):
     assert_lockstep_is_the_loop(concatenated(one_run_models), one_run_models, init, EDGE_BOUNDS, max_iter, tol)
 
 
+@pytest.mark.bit_identity
 def test_lockstep_cases_take_every_branch_of_the_loop():
     # the draws above reach these branches; these cases pin that they exist
     events = []

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resurge.series import (
-    CcdfPoint,
     TimeSeries,
-    Window,
     align_pair,
     ccdf,
     cumulative_normalized,
@@ -86,36 +84,21 @@ def test_series_equality_and_len():
     assert len(a) == 3
     assert a.start_day == 0 and a.end_day == 2
     assert a.is_daily
-    assert not TimeSeries.from_points([(0, 1.0), (2, 1.0)]).is_daily
-
-
-def test_window_validation():
-    Window(start=0, end=4, peak=2)
-    with pytest.raises(ValueError):
-        Window(start=3, end=4, peak=2)
-    with pytest.raises(ValueError):
-        Window(start=0, end=1, peak=2)
-    assert len(Window(start=1, end=5, peak=3)) == 5
-
-
-def test_window_slice_bounds_checked():
-    s = ts([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="window does not fit"):
-        s.window_slice(Window(start=1, end=3, peak=2))
+    assert not TimeSeries(days=[0, 2], values=[1.0, 1.0]).is_daily
 
 
 # --- interpolate_daily ----------------------------------------------------------
 
 
 def test_interpolate_midpoint():
-    out = interpolate_daily(TimeSeries.from_points([(0, 10.0), (2, 30.0)]))
+    out = interpolate_daily(TimeSeries(days=[0, 2], values=[10.0, 30.0]))
     assert list(out.days) == [0, 1, 2]
     assert list(out.values) == [10.0, 20.0, 30.0]
 
 
 def test_interpolate_two_segments():
     # hand evaluation: slope 2 on [0,4], flat on [4,6]
-    out = interpolate_daily(TimeSeries.from_points([(0, 0.0), (4, 8.0), (6, 8.0)]))
+    out = interpolate_daily(TimeSeries(days=[0, 4, 6], values=[0.0, 8.0, 8.0]))
     assert out.values[3] == pytest.approx(6.0)
     assert out.values[5] == pytest.approx(8.0)
     assert len(out) == 7
@@ -148,7 +131,10 @@ def test_interpolate_daily_properties(s):
 
 
 def peak_window_scan(values, threshold):
-    """Independent route: candidate scan instead of the two-sided walk."""
+    """Independent route: candidate scan instead of the two-sided walk.
+
+    Returns the window's first and last index.
+    """
     peak = int(np.argmax(values))
     start = peak
     for s in range(peak - 1, -1, -1):
@@ -160,34 +146,44 @@ def peak_window_scan(values, threshold):
         if values[e] < threshold:
             break
         end = e
-    return start, end, peak
+    return start, end
+
+
+def cut(s, start, end):
+    """The sub-series of *s* from index *start* to *end*, both included."""
+    return TimeSeries(days=s.days[start : end + 1], values=s.values[start : end + 1])
+
+
+def span(s):
+    return s.start_day, s.end_day
 
 
 def test_peak_window_single_point():
-    w = peak_window(ts([5.0]))
-    assert (w.start, w.end, w.peak) == (0, 0, 0)
+    s = ts([5.0], start=7)
+    assert peak_window(s) == s
 
 
 def test_peak_window_isolated_spike():
-    w = peak_window(ts([1.0, 1.0, 100.0, 1.0, 1.0]), 0.05, basis="peak")
-    assert (w.start, w.end, w.peak) == (2, 2, 2)
+    w = peak_window(ts([1.0, 1.0, 100.0, 1.0, 1.0], start=10), 0.05, basis="peak")
+    assert w == TimeSeries(days=[12], values=[100.0])
 
 
 def test_peak_window_earliest_argmax_on_ties():
-    w = peak_window(ts([1.0, 9.0, 9.0, 1.0]), 0.5, basis="peak")
-    assert w.peak == 1
+    # the 1.0 between the maxima is below 0.5 * 9, so each maximum stands alone
+    w = peak_window(ts([9.0, 1.0, 9.0]), 0.5, basis="peak")
+    assert w == TimeSeries(days=[0], values=[9.0])
 
 
 def test_peak_window_boundary_is_inclusive_at_threshold():
     # threshold = 0.5 * 10 = 5; the 5.0 neighbours sit exactly on it
     w = peak_window(ts([1.0, 5.0, 10.0, 5.0, 4.9]), 0.5, basis="peak")
-    assert (w.start, w.end) == (1, 3)
+    assert w == TimeSeries(days=[1, 2, 3], values=[5.0, 10.0, 5.0])
 
 
 def test_peak_window_total_basis():
     values = [1.0, 2.0, 14.0, 2.0, 1.0]  # total 20, threshold 0.1*20 = 2
     w = peak_window(ts(values), 0.1, basis="total")
-    assert (w.start, w.end, w.peak) == (1, 3, 2)
+    assert w == TimeSeries(days=[1, 2, 3], values=[2.0, 14.0, 2.0])
 
 
 def test_peak_window_degenerate_and_bad_args():
@@ -208,8 +204,9 @@ def test_peak_window_unimodal_matches_scan():
     for fraction in (0.02, 0.05, 0.2, 0.6):
         for basis in ("total", "peak"):
             ref = values.sum() if basis == "total" else values.max()
-            w = peak_window(s, fraction, basis)
-            assert (w.start, w.end, w.peak) == peak_window_scan(values, fraction * ref)
+            assert peak_window(s, fraction, basis) == cut(
+                s, *peak_window_scan(values, fraction * ref)
+            )
 
 
 @given(series_strategy(min_len=1, max_len=30), st.floats(0.01, 0.99))
@@ -220,13 +217,11 @@ def test_peak_window_scan_oracle_and_monotonicity(s, fraction):
             peak_window(s, fraction, "peak")
         return
     w = peak_window(s, fraction, "peak")
-    assert (w.start, w.end, w.peak) == peak_window_scan(
-        s.values, fraction * s.values.max()
-    )
-    assert w.start <= int(np.argmax(s.values)) <= w.end
+    assert w == cut(s, *peak_window_scan(s.values, fraction * s.values.max()))
+    assert w.start_day <= s.days[np.argmax(s.values)] <= w.end_day
     # widening the fraction never widens the window
     tighter = peak_window(s, min(fraction * 1.5, 0.99), "peak")
-    assert tighter.start >= w.start and tighter.end <= w.end
+    assert tighter.start_day >= w.start_day and tighter.end_day <= w.end_day
 
 
 # --- align_pair -------------------------------------------------------------------
@@ -251,7 +246,7 @@ def test_align_offset_ranges():
 def test_align_requires_overlap_and_daily():
     with pytest.raises(ValueError, match="no overlapping dates"):
         align_pair(ts([1.0, 2.0], start=0), ts([1.0, 2.0], start=10))
-    gappy = TimeSeries.from_points([(0, 1.0), (2, 1.0)])
+    gappy = TimeSeries(days=[0, 2], values=[1.0, 1.0])
     with pytest.raises(ValueError, match="daily-complete"):
         align_pair(gappy, ts([1.0, 2.0, 3.0]))
 
@@ -310,6 +305,7 @@ def test_cumulative_properties_and_oracle(s):
 # --- totals that overflow float64 --------------------------------------------------
 
 
+@pytest.mark.bit_identity
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_total_runs_on_values_scaled_by_a_power_of_two():
     big = ts([1e308] * 10)  # each value finite, the total 1e309
@@ -320,8 +316,8 @@ def test_overflowing_total_runs_on_values_scaled_by_a_power_of_two():
     assert out.values[-1] == 1.0
     assert np.all(np.diff(out.values) > 0.0)
     # threshold 0.05 of the total is half of each day's value
-    assert peak_window(big, 0.05, basis="total") == Window(0, 9, 0)
-    assert peak_window(big, 0.05, basis="total") == peak_window(scaled, 0.05, basis="total")
+    assert peak_window(big, 0.05, basis="total") == big
+    assert span(peak_window(scaled, 0.05, basis="total")) == span(big)
 
 
 @given(
@@ -331,6 +327,7 @@ def test_overflowing_total_runs_on_values_scaled_by_a_power_of_two():
     st.integers(-100, 100),
 )
 @settings(max_examples=100, deadline=None)
+@pytest.mark.bit_identity
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_power_of_two_units_change_no_bit(values, fraction, shift):
     # rescaling by a power of two is exact, whether or not the total overflows
@@ -340,22 +337,23 @@ def test_power_of_two_units_change_no_bit(values, fraction, shift):
         scaled = ts(np.ldexp(base.values, exponent))
         assert (cumulative_normalized(scaled).values.tobytes()
                 == cumulative_normalized(base).values.tobytes())
-        assert peak_window(scaled, fraction, "total") == peak_window(base, fraction, "total")
+        assert (span(peak_window(scaled, fraction, "total"))
+                == span(peak_window(base, fraction, "total")))
 
 
 # --- ccdf -------------------------------------------------------------------------
 
 
 def test_ccdf_four_values():
-    points = {pt.popularity: pt.fraction_above for pt in ccdf([1.0, 2.0, 3.0, 4.0])}
-    assert points[2.0] == 0.5
-    assert points == {1.0: 0.75, 2.0: 0.5, 3.0: 0.25, 4.0: 0.0}
+    popularity, fraction_above = ccdf([4.0, 2.0, 3.0, 1.0])
+    assert popularity.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert fraction_above.tolist() == [0.75, 0.5, 0.25, 0.0]
 
 
 def test_ccdf_all_equal():
-    points = ccdf([7.0, 7.0, 7.0])
-    assert len(points) == 1
-    assert points[0] == CcdfPoint(popularity=7.0, fraction_above=0.0)
+    popularity, fraction_above = ccdf([7.0, 7.0, 7.0])
+    assert popularity.tolist() == [7.0]
+    assert fraction_above.tolist() == [0.0]
 
 
 def test_ccdf_rejects_empty_and_negative():
@@ -370,11 +368,10 @@ def test_ccdf_rejects_empty_and_negative():
 )
 @settings(max_examples=100, deadline=None)
 def test_ccdf_matches_counting_oracle(values):
-    points = ccdf(values)
+    popularity, fraction_above = ccdf(values)
     n = len(values)
-    assert [pt.popularity for pt in points] == sorted(set(values))
-    for pt in points:
-        assert pt.fraction_above == sum(1 for v in values if v > pt.popularity) / n
-    fractions = [pt.fraction_above for pt in points]
+    assert popularity.tolist() == sorted(set(values))
+    fractions = fraction_above.tolist()
+    assert fractions == [sum(1 for v in values if v > p) / n for p in popularity.tolist()]
     assert all(a >= b for a, b in zip(fractions, fractions[1:]))
     assert fractions[-1] == 0.0
