@@ -168,10 +168,13 @@ def granger_test(
         # such a fit: F = 0.  Centring absorbs an offset as the intercept does:
         # offsets up to 1e9 keep the verdict, though larger ones can fail the
         # rank test on the uncentred lag columns.  y is power-of-two scaled, so
-        # the floor scales with the data.
+        # the floor scales with the data.  Both sums of squares come from the
+        # effects: the first is the intercept's, so the centred sum is the
+        # restricted residual plus the own lags' effects.
         eps_n = n_eff * np.finfo(np.float64).eps
-        yc = y - y.mean()
-        if ssr_restricted <= eps_n * float(yc @ yc) + eps_n**2 * float(y @ y):
+        own = fit.effects[1 : 1 + lag]
+        centred = ssr_restricted + float(own @ own)
+        if ssr_restricted <= eps_n * centred + eps_n**2 * (centred + float(fit.effects[0]) ** 2):
             f_stat, ssr_ratio = 0.0, 1.0
         else:
             f_stat = (gain / lag) / (fit.ssr / df_den) if fit.ssr > 0.0 else np.inf

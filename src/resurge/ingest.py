@@ -12,6 +12,7 @@ import codecs
 import csv
 import dataclasses
 import datetime as dt
+import functools
 import io
 import json
 import math
@@ -62,7 +63,8 @@ _SERIES_HEADER = ["date", "value"]
 # layout and characters only; on a value that starts with a digit or "." and
 # holds only [0-9.eE+-], float() accepts exactly the strings _VALUE matches,
 # so float() decides the value grammar.  Date classes are spelled out, which
-# the regex engine runs faster than [0-9]{4}
+# the regex engine runs faster than [0-9]{4}.  Both the reader and the writer
+# take the dates of a daily run from the date calendar, _calendar below
 _CANONICAL_SERIES_HEADER = "date,value\n"
 _CANONICAL_SERIES_BODY_RE = re.compile(
     r"(?:[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9],[0-9.][0-9.eE+-]*\n)+"
@@ -70,6 +72,8 @@ _CANONICAL_SERIES_BODY_RE = re.compile(
 # datetime64[D] counts days from 1970-01-01, ordinals from 0001-01-01 = 1
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _MAX_ORDINAL = dt.date.max.toordinal()
+# years of the date calendar kept spelt, about 25 KB each
+_CALENDAR_YEARS = 64
 _CATALOG_HEADER = ["title", "artist", "release_date", "release_kind"]
 # write_dataset's file name for one song's series on one platform
 _SERIES_FILE = "{song_id}__{platform}.csv"
@@ -126,6 +130,37 @@ def _parse_date(text: str, path, lineno: int) -> int:
         raise ParseError(path, lineno, f"invalid ISO date {text!r}") from None
 
 
+def _spell_dates(days: np.ndarray) -> list[str]:
+    """The ``YYYY-MM-DD`` text of each day ordinal in years 1 to 9999."""
+    # YYYYMMDD's eight digits as UTF-32 code points around the dashes, viewed as strings
+    day = (days - _EPOCH_ORDINAL).astype("datetime64[D]")
+    month, year = day.astype("datetime64[M]"), day.astype("datetime64[Y]")
+    ymd = (year.astype(np.int64) + 1970) * 10000 + (month - year).astype(np.int64) * 100
+    ymd += (day - month).astype(np.int64) + 101
+    text = np.full((len(days), 10), ord("-"), dtype=np.uint32)
+    text[:, [0, 1, 2, 3, 5, 6, 8, 9]] = ymd[:, None] // 10 ** np.arange(7, -1, -1) % 10 + ord("0")
+    return text.view("U10").ravel().tolist()
+
+
+@functools.lru_cache(maxsize=_CALENDAR_YEARS)
+def _calendar_year(year: int) -> tuple[int, tuple[str, ...]]:
+    """The ordinal of *year*'s first day and the text of each of its days."""
+    first = dt.date(year, 1, 1).toordinal()
+    return first, tuple(_spell_dates(np.arange(first, dt.date(year, 12, 31).toordinal() + 1)))
+
+
+def _calendar(first: int, count: int) -> list[str]:
+    """The texts of the *count* consecutive days from ordinal *first*, all in years 1 to 9999."""
+    texts: list[str] = []
+    day, end = first, first + count
+    year = dt.date.fromordinal(first).year
+    while day < end:
+        start, year_texts = _calendar_year(year)
+        texts += year_texts[day - start : end - start]
+        day, year = start + len(year_texts), year + 1
+    return texts
+
+
 def _read_text(path) -> str:
     """The whole file decoded as UTF-8; invalid bytes are a ParseError with their line."""
     # drop one leading byte-order mark; it holds no line break, so no line number shifts
@@ -156,11 +191,15 @@ def _bulk_series(text: str) -> TimeSeries | None:
 
     One regex checks the row layout and the characters of each field;
     ``float()`` then decides the value grammar, which on those characters is
-    exactly the line reader's.  It uses the same conversions as the line
-    reader, so whatever it returns is what the line reader would return.
-    Anything it cannot vouch for (another layout, a value ``float()`` rejects,
-    a date that does not exist, an overflowing value, unsorted or repeated
-    days) is left to the line reader, which alone reports errors.
+    exactly the line reader's.  Only the first and last dates are parsed
+    when the date column is the date calendar's run of consecutive days
+    between them: a calendar text is the one spelling of its day, so those
+    are the days the line reader would read.  Any other date column is
+    parsed row by row.  It uses the same conversions as the line reader, so
+    whatever it returns is what the line reader would return.  Anything it
+    cannot vouch for (another layout, a value ``float()`` rejects, a date
+    that does not exist, an overflowing value, unsorted or repeated days) is
+    left to the line reader, which alone reports errors.
     """
     start = len(_CANONICAL_SERIES_HEADER)
     if not (text.startswith(_CANONICAL_SERIES_HEADER)
@@ -169,11 +208,17 @@ def _bulk_series(text: str) -> TimeSeries | None:
     # "d1,v1\nd2,v2\n" -> [d1, v1, d2, v2, ""]
     fields = text[start:].replace("\n", ",").split(",")
     count = len(fields) // 2
+    dates = fields[0:-1:2]
     try:
-        days = np.fromiter(
-            map(dt.date.toordinal, map(dt.date.fromisoformat, fields[0:-1:2])),
-            dtype=np.int64, count=count,
-        )
+        # both ends are real dates, so a run between them stays in years 1 to 9999
+        first, last = (dt.date.fromisoformat(dates[i]).toordinal() for i in (0, -1))
+        if last - first + 1 == count and dates == _calendar(first, count):
+            days = np.arange(first, first + count, dtype=np.int64)
+        else:
+            days = np.fromiter(
+                map(dt.date.toordinal, map(dt.date.fromisoformat, dates)),
+                dtype=np.int64, count=count,
+            )
         values = np.fromiter(map(float, fields[1::2]), dtype=np.float64, count=count)
         # rejects non-finite values and days that are not strictly increasing
         return TimeSeries(days=days, values=values)
@@ -186,8 +231,9 @@ def parse_series_file(path) -> TimeSeries:
 
     Blank lines and ``#`` comments are skipped.  Duplicate dates are an
     error naming both offending lines.  A file in the form
-    :func:`write_series_file` writes is converted in bulk; any other file
-    goes through the line reader, with the same result.
+    :func:`write_series_file` writes is converted in bulk, its dates matched
+    against the date calendar where they run day by day; any other file goes
+    through the line reader, with the same result.
     """
     text = _read_text(path)
     series = _bulk_series(text)
@@ -234,8 +280,10 @@ def write_series_file(series: TimeSeries, path) -> None:
     """Inverse of :func:`parse_series_file`; values round-trip bit-exactly.
 
     A day outside the years 1 to 9999 is a ``ValueError``, raised before the
-    file is opened.  Dates are spelt from their YYYYMMDD digits a column at a
-    time, values by ``float.__repr__``, and the rows are written with one join.
+    file is opened.  A daily series takes its dates from the date calendar;
+    any other has them spelt from their YYYYMMDD digits a column at a time.
+    Values are spelt by ``float.__repr__``, and the rows are written with
+    one join.
     """
     days = series.days
     # four digits cannot hold year 10000, and parse_series_file rejects year 0;
@@ -243,15 +291,10 @@ def write_series_file(series: TimeSeries, path) -> None:
     if days[0] < 1 or days[-1] > _MAX_ORDINAL:
         bad = days[0] if days[0] < 1 else days[-1]
         raise ValueError(f"day {bad} is outside the years 1 to 9999")
-    # YYYYMMDD's eight digits as UTF-32 code points around the dashes, viewed as strings
-    day = (days - _EPOCH_ORDINAL).astype("datetime64[D]")
-    month, year = day.astype("datetime64[M]"), day.astype("datetime64[Y]")
-    ymd = (year.astype(np.int64) + 1970) * 10000 + (month - year).astype(np.int64) * 100
-    ymd += (day - month).astype(np.int64) + 101
-    text = np.full((len(days), 10), ord("-"), dtype=np.uint32)
-    text[:, [0, 1, 2, 3, 5, 6, 8, 9]] = ymd[:, None] // 10 ** np.arange(7, -1, -1) % 10 + ord("0")
-    parts = [None, ",", None, "\n"] * len(days)
-    parts[0::4] = text.view("U10").ravel().tolist()
+    first, count = int(days[0]), len(days)
+    daily = int(days[-1]) - first + 1 == count
+    parts = [None, ",", None, "\n"] * count
+    parts[0::4] = _calendar(first, count) if daily else _spell_dates(days)
     parts[2::4] = map(float.__repr__, series.values.tolist())  # the shortest round-tripping form
     Path(path).write_text(_CANONICAL_SERIES_HEADER + "".join(parts), encoding="utf-8")
 

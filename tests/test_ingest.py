@@ -321,19 +321,98 @@ def test_bulk_reader_matches_the_grammar_in_regex_reference(tmp_path_factory, te
 
     path = tmp_path_factory.mktemp("perturbed") / "s.csv"
     path.write_bytes(text.encode("utf-8"))
+    assert _outcome(lambda: parse_series_file(path)) == _outcome_as_before(path, text)
 
-    def outcome(read):
-        try:
-            series = read()
-        except ParseError as exc:
-            return str(exc)
-        return series.days.tobytes(), series.values.tobytes()
 
-    def read_as_before():
+def _outcome(read):
+    """The days' and values' bytes of a read series, or the text of its ParseError."""
+    try:
+        series = read()
+    except ParseError as exc:
+        return str(exc)
+    return series.days.tobytes(), series.values.tobytes()
+
+
+def _outcome_as_before(path, text):
+    """What the bulk reader as it was, falling back to the line reader, makes of *text*."""
+    def read():
         series = bulk_series_reference(text)
         return series if series is not None else ingest._parse_series_lines(path, text)
+    return _outcome(read)
 
-    assert outcome(lambda: parse_series_file(path)) == outcome(read_as_before)
+
+def _calendar_lookups() -> int:
+    info = ingest._calendar_year.cache_info()
+    return info.hits + info.misses
+
+
+def _daily_text(first: int, values) -> str:
+    return "date,value\n" + "".join(
+        f"{dt.date.fromordinal(first + i).isoformat()},{value!r}\n" for i, value in enumerate(values)
+    )
+
+
+@st.composite
+def daily_runs(draw):
+    """The first day and values of a run of consecutive days in years 1 to 9999."""
+    first = draw(st.integers(1, _MAX_DAY))
+    values = draw(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=800))
+    return first, values[: _MAX_DAY - first + 1]
+
+
+@pytest.mark.bit_identity
+@given(daily_runs())
+@example((1, [1.0] * 400))
+@example((_MAX_DAY - 399, [2.0] * 400))
+@example((1, [3.0]))
+@example((_MAX_DAY, [4.0]))
+# across a year end, the skipped 1900-02-29, and leap days of 2000 and 2024
+@example((dt.date(1999, 12, 30).toordinal(), [0.5] * 5))
+@example((dt.date(1900, 2, 27).toordinal(), [1.0] * 4))
+@example((dt.date(2000, 2, 27).toordinal(), [1.0] * 4))
+@example((dt.date(2023, 12, 1).toordinal(), [1.0] * 500))
+@settings(max_examples=100, deadline=None)
+def test_consecutive_days_are_read_from_the_calendar(tmp_path_factory, run):
+    first, values = run
+    text = _daily_text(first, values)
+    years = dt.date.fromordinal(first + len(values) - 1).year - dt.date.fromordinal(first).year + 1
+    before = _calendar_lookups()
+    bulk = ingest._bulk_series(text)
+    # one calendar lookup for each year the run spans, and none for any other file
+    assert _calendar_lookups() - before == years
+    reference = bulk_series_reference(text)
+    assert bulk.days.tobytes() == reference.days.tobytes()
+    assert bulk.values.tobytes() == reference.values.tobytes()
+    path = tmp_path_factory.mktemp("daily") / "s.csv"
+    path.write_text(text, encoding="utf-8")
+    lines = ingest._parse_series_lines(path, text)
+    assert bulk.days.tobytes() == lines.days.tobytes()
+    assert bulk.values.tobytes() == lines.values.tobytes()
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("dates, lookups", [
+    (["2021-01-01", "2021-01-02", "2021-01-04"], 0),
+    (["2021-01-01", "2021-01-02", "2021-01-02", "2021-01-04"], 1),
+    (["2021-01-01", "2021-01-03", "2021-01-02", "2021-01-04"], 1),
+    (["2021-02-28", "2021-02-29", "2021-03-01"], 0),
+    (["2021-02-27", "2021-02-29", "2021-03-01"], 1),
+    (["2021-02-27", "2021-02-28", "2021-02-29"], 0),
+    (["2021-02-29", "2021-03-01", "2021-03-02"], 0),
+    (["2100-02-28", "2100-02-29", "2100-03-01", "2100-03-02"], 0),
+    (["2100-02-27", "2100-02-29", "2100-03-01"], 1),
+    (["2100-02-27", "2100-02-28", "2100-02-29"], 0),
+], ids=["gap", "repeat", "swap", "2021-02-29", "2021-02-29-in-run", "2021-02-29-last",
+        "2021-02-29-first", "2100-02-29", "2100-02-29-in-run", "2100-02-29-last"])
+def test_other_canonical_dates_are_read_as_before(tmp_path, dates, lookups):
+    text = "date,value\n" + "".join(f"{date},{k}\n" for k, date in enumerate(dates))
+    assert ingest._CANONICAL_SERIES_BODY_RE.fullmatch(text, len("date,value\n"))
+    path = tmp_path / "s.csv"
+    path.write_text(text, encoding="utf-8")
+    before = _calendar_lookups()
+    assert _outcome(lambda: parse_series_file(path)) == _outcome_as_before(path, text)
+    # the calendar is consulted only where the ends are real dates a run apart
+    assert _calendar_lookups() - before == lookups
 
 
 @given(
@@ -380,6 +459,36 @@ def test_series_writer_spells_each_date_as_isoformat_does(tmp_path):
     write_series_file(TimeSeries(days=days, values=np.ones(days.size)), path)
     dates = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
     assert dates == [dt.date.fromordinal(day).isoformat() for day in days.tolist()]
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("first, last", [
+    (dt.date(1899, 1, 1), dt.date(1901, 12, 31)),
+    (dt.date(1999, 1, 1), dt.date(2001, 12, 31)),
+    (dt.date(1, 1, 1), dt.date(1, 4, 30)),
+    (dt.date(9999, 9, 1), dt.date(9999, 12, 31)),
+], ids=["1899-1901", "1999-2001", "year-1", "year-9999"])
+def test_daily_series_writer_spells_each_date_as_isoformat_does(tmp_path, first, last):
+    # a daily series takes its dates from the calendar, one lookup per year
+    days = np.arange(first.toordinal(), last.toordinal() + 1)
+    path = tmp_path / "s.csv"
+    before = _calendar_lookups()
+    write_series_file(TimeSeries(days=days, values=np.ones(days.size)), path)
+    assert _calendar_lookups() - before == last.year - first.year + 1
+    dates = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+    assert dates == [dt.date.fromordinal(day).isoformat() for day in days.tolist()]
+
+
+def test_calendar_keeps_at_most_its_bound_of_years(tmp_path):
+    # more distinct years than the bound, each written and read back
+    path = tmp_path / "s.csv"
+    for year in range(1900, 1900 + 2 * ingest._CALENDAR_YEARS):
+        first = dt.date(year, 12, 30).toordinal()
+        write_series_file(TimeSeries(days=[first, first + 1], values=[1.0, 2.0]), path)
+        assert parse_series_file(path).days.tolist() == [first, first + 1]
+    info = ingest._calendar_year.cache_info()
+    assert info.maxsize == ingest._CALENDAR_YEARS
+    assert info.currsize <= ingest._CALENDAR_YEARS
 
 
 @pytest.mark.bit_identity
