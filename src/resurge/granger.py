@@ -168,9 +168,10 @@ def granger_test(
         # such a fit: F = 0.  Centring absorbs an offset as the intercept does:
         # offsets up to 1e9 keep the verdict, though larger ones can fail the
         # rank test on the uncentred lag columns.  y is power-of-two scaled, so
-        # the floor scales with the data.  Both sums of squares come from the
-        # effects: the first is the intercept's, so the centred sum is the
-        # restricted residual plus the own lags' effects.
+        # the floor scales with the data.  Both sums of squares of y come from
+        # the effects: the first effect is the intercept's, so the centred sum
+        # is the restricted residual plus the own lags' effects squared, and
+        # the first effect squared completes y's own.
         eps_n = n_eff * np.finfo(np.float64).eps
         own = fit.effects[1 : 1 + lag]
         centred = ssr_restricted + float(own @ own)
