@@ -139,7 +139,8 @@ def _cumulative_for(p: float, q: float, times: np.ndarray) -> np.ndarray:
 def _x_plus_expm1_neg(x: np.ndarray) -> np.ndarray:
     """x + expm1(-x) = x²/2! - x³/3! + ... for |x| below ``_SERIES_CUTOFF``."""
     y = -x
-    acc = np.full_like(x, _SERIES_COEFFS[0])
+    acc = np.empty_like(x)
+    acc.fill(_SERIES_COEFFS[0])
     for coeff in _SERIES_COEFFS[1:]:
         acc *= y
         acc += coeff
@@ -169,7 +170,7 @@ def _cumulative_and_jacobian(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.exp(decay, out=decay)
     np.abs(x, out=denom)
     # at x = 0 the subtraction is exact
-    small = np.flatnonzero((denom < _SERIES_CUTOFF) & (denom > 0.0))
+    small = ((denom < _SERIES_CUTOFF) & (denom > 0.0)).nonzero()[0]
     small_x, small_p = x[small], p[small]
     ratio = np.divide(q, p, out=q)
     one_minus = np.subtract(1.0, decay, out=x)
@@ -227,18 +228,18 @@ def _window_model(times: np.ndarray, observed: np.ndarray, starts: np.ndarray,
     def model(params: np.ndarray, runs: np.ndarray):
         windows = run_window[runs]
         lengths = sizes[windows]
-        ends = np.cumsum(lengths)
+        ends = lengths.cumsum()
         run_starts = ends - lengths
         n = int(ends[-1])
         # the flat index of every point of the listed runs, run after run
-        index = np.repeat(starts[windows] - run_starts, lengths)
+        index = (starts[windows] - run_starts).repeat(lengths)
         index += np.arange(n)
         rows = work[:, :n]
-        rows[0] = np.repeat(params[:, 0], lengths)
-        rows[1] = np.repeat(params[:, 1], lengths)
-        np.take(times, index, out=rows[2])
+        rows[0] = params[:, 0].repeat(lengths)
+        rows[1] = params[:, 1].repeat(lengths)
+        times.take(index, out=rows[2])
         curve, jac = _cumulative_and_jacobian(rows)
-        curve -= np.take(observed, index, out=rows[0])
+        curve -= observed.take(index, out=rows[0])
         return curve, jac, run_starts
 
     return model

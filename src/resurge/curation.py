@@ -253,7 +253,7 @@ def match_catalog(
     display = _MatchText(record.display_title)
     title_bounds, artist_bounds = index.bounds(display)
     low = np.minimum(title_bounds, artist_bounds)
-    passing = np.flatnonzero(low > threshold)
+    passing = (low > threshold).nonzero()[0]
     tie_ranks = index.tie_ranks
     best_key: tuple = (math.inf,)  # ranks after every real key
     best_entry = None

@@ -39,6 +39,8 @@ DEFAULT_ALPHA = 0.1
 # verdicts need the nested F-test to have at least this many aligned points
 MIN_SERIES_LENGTH = 20
 
+_EPS = np.finfo(np.float64).eps
+
 
 @dataclass(frozen=True)
 class LagSpec:
@@ -117,7 +119,8 @@ def _lagged_design(
     observations that have a full lag history.
     """
     n = len(target)
-    design = np.ones((n - lag, 2 * lag + 1))
+    design = np.empty((n - lag, 2 * lag + 1))
+    design[:, 0] = 1.0
     for ell in range(1, lag + 1):
         design[:, ell] = target[lag - ell : n - ell]
         design[:, lag + ell] = source[lag - ell : n - ell]
@@ -137,7 +140,7 @@ def granger_test(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if not np.array_equal(target.days, source.days):
+    if target.days.shape != source.days.shape or not (target.days == source.days).all():
         raise ValueError("series are not aligned on the same dates")
     n = len(target)
     if n < MIN_SERIES_LENGTH:
@@ -172,7 +175,7 @@ def granger_test(
         # the effects: the first effect is the intercept's, so the centred sum
         # is the restricted residual plus the own lags' effects squared, and
         # the first effect squared completes y's own.
-        eps_n = n_eff * np.finfo(np.float64).eps
+        eps_n = n_eff * _EPS
         own = fit.effects[1 : 1 + lag]
         centred = ssr_restricted + float(own @ own)
         if ssr_restricted <= eps_n * centred + eps_n**2 * (centred + float(fit.effects[0]) ** 2):

@@ -84,14 +84,14 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsSolution:
     if k < 1 or n < k:
         raise ValueError("design needs at least as many rows as columns")
 
-    norms = np.linalg.norm(X, axis=0)
-    if not np.all(norms > 0.0):
+    norms = np.sqrt(np.add.reduce(X * X, axis=0))  # np.linalg.norm(X, axis=0), bit for bit
+    if not (norms > 0.0).all():
         raise ValueError("singular design matrix")
     augmented = np.empty((n, k + 1))
     np.divide(X, norms, out=augmented[:, :k])
     augmented[:, k] = y
     r = np.linalg.qr(augmented, mode="raw")[0].T  # R is its upper triangle
-    if np.abs(np.diagonal(r)[:k]).min() < _RANK_RTOL:
+    if np.abs(r.diagonal()[:k]).min() < _RANK_RTOL:
         raise ValueError("singular design matrix")
     return OlsSolution(ssr=float(r[k, k]) ** 2 if n > k else 0.0, effects=r[:k, k])
 
@@ -197,23 +197,23 @@ def _normal_sums(
     The sums come back as the rows JᵀJ[0][0], JᵀJ[1][0], JᵀJ[1][1], Jᵀr[0],
     Jᵀr[1] and rᵀr, one column per run.  Each segment is summed by
     ``np.add.reduceat`` over its own values alone, so a run's sums do not
-    depend on which runs lie beside it.
+    depend on which runs lie beside it.  A sum can overflow, so call it under
+    ``np.errstate(over="ignore", invalid="ignore")``.
     """
     resid = np.asarray(resid, dtype=np.float64)
     jac = np.asarray(jac, dtype=np.float64)
     product = scratch[: resid.size]
     sums = np.empty((6, starts.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, (a, b) in zip(sums, ((jac[0], jac[0]), (jac[1], jac[0]), (jac[1], jac[1]),
-                                      (jac[0], resid), (jac[1], resid), (resid, resid))):
-            np.multiply(a, b, out=product)
-            np.add.reduceat(product, starts, out=row)
+    for row, (a, b) in zip(sums, ((jac[0], jac[0]), (jac[1], jac[0]), (jac[1], jac[1]),
+                                  (jac[0], resid), (jac[1], resid), (resid, resid))):
+        np.multiply(a, b, out=product)
+        np.add.reduceat(product, starts, out=row)
     finite = np.isfinite(sums).all(axis=0)
     if finite.all():
         return sums, finite
     # a non-finite entry of r or J makes a sum of squares non-finite; finite
     # entries can overflow it too, so only those runs are read again
-    for run in np.flatnonzero(~finite).tolist():
+    for run in (~finite).nonzero()[0].tolist():
         segment = slice(starts[run], starts[run + 1] if run + 1 < starts.size else resid.size)
         finite[run] = np.isfinite(resid[segment]).all() and np.isfinite(jac[:, segment]).all()
     return sums, finite
@@ -225,21 +225,22 @@ def _damped_steps(sums: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.nda
 
     ``sums`` holds a column of :func:`_normal_sums` rows per run.  A step is
     unusable when a pivot is not positive, as when the damped matrix is not
-    positive definite to working precision, or when s is not finite.
+    positive definite to working precision, or when s is not finite.  Call
+    it under ``np.errstate(over="ignore", invalid="ignore", divide="ignore")``.
     """
     a, b, d, g0, g1 = sums[:5]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pivot0 = a + lam
-        l00 = np.sqrt(pivot0)
-        l10 = b / l00
-        pivot1 = d + lam - l10 * l10
-        l11 = np.sqrt(pivot1)
-        # L y = -grad, then Lᵀ s = y
-        y0 = -g0 / l00
-        s1 = (-g1 - l10 * y0) / l11 / l11
-        s0 = (y0 - l10 * s1) / l00
+    step = np.empty((lam.size, 2))
+    pivot0 = a + lam
+    l00 = np.sqrt(pivot0)
+    l10 = b / l00
+    pivot1 = d + lam - l10 * l10
+    l11 = np.sqrt(pivot1)
+    # L y = -grad, then Lᵀ s = y
+    y0 = -g0 / l00
+    s1 = np.divide((-g1 - l10 * y0) / l11, l11, out=step[:, 1])
+    s0 = np.divide(y0 - l10 * s1, l00, out=step[:, 0])
     usable = (pivot0 > 0.0) & (pivot1 > 0.0) & np.isfinite(s0) & np.isfinite(s1)
-    return np.stack([s0, s1], axis=1), usable
+    return step, usable
 
 
 def damped_least_squares(
@@ -291,7 +292,8 @@ def damped_least_squares(
     resid, jac, starts = model(x, np.arange(n_runs))
     # runs only leave the set a call lists, so no later call has more residuals
     scratch = np.empty(np.size(resid))
-    sums, finite = _normal_sums(resid, jac, starts, scratch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, finite = _normal_sums(resid, jac, starts, scratch)
     if not finite.all():
         raise ValueError("invalid starting point")
     cost = np.sqrt(sums[5])
@@ -304,25 +306,27 @@ def damped_least_squares(
         if not active.size:
             break
         iterations[active] = iteration
-        step, usable = _damped_steps(sums[:, active], lam[active])
+        # one errstate block on each side of the model, whose warnings stay errors
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            step, usable = _damped_steps(sums[:, active], lam[active])
+            tried = active[usable]
+            trial = x[tried] + step[usable]
         accepted = np.zeros(active.size, dtype=bool)
-        tried = active[usable]
         if tried.size:
-            with np.errstate(over="ignore"):
-                trial = x[tried] + step[usable]
             trial = np.where(trial < lo, lo, trial)
             trial = np.where(trial > hi, hi, trial)
-            trial_sums, finite = _normal_sums(*model(trial, tried), scratch)
-            trial_cost = np.sqrt(trial_sums[5])
-            # a non-finite trial is rejected like one that raises the cost
-            keep = finite & (trial_cost <= cost[tried])
-            accepted[np.flatnonzero(usable)[keep]] = True
-            runs = tried[keep]
-            new_x, new_cost = trial[keep], trial_cost[keep]
+            resid, jac, starts = model(trial, tried)
             with np.errstate(over="ignore", invalid="ignore"):
+                trial_sums, finite = _normal_sums(resid, jac, starts, scratch)
+                trial_cost = np.sqrt(trial_sums[5])
+                # a non-finite trial is rejected like one that raises the cost
+                keep = finite & (trial_cost <= cost[tried])
+                runs = tried[keep]
+                new_x, new_cost = trial[keep], trial_cost[keep]
                 delta = new_x - x[runs]
                 step_norm = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
                 improvement = cost[runs] - new_cost
+            accepted[usable.nonzero()[0][keep]] = True
             x[runs] = new_x
             sums[:, runs] = trial_sums[:, keep]
             cost[runs] = new_cost

@@ -45,9 +45,10 @@ class TimeSeries:
             raise ValueError("days and values must be 1-d arrays of equal length")
         if days.size < 1:
             raise ValueError("series must contain at least one point")
-        if days.size > 1 and not np.all(np.diff(days) > 0):
+        # element-wise, so a gap past int64 cannot wrap round as np.diff's would
+        if not (days[1:] > days[:-1]).all():
             raise ValueError("days must be strictly increasing")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("values must be finite")
         if values.min() < 0.0:
             raise ValueError("values must be non-negative")
@@ -147,11 +148,11 @@ def peak_window(
     if values.max() == 0.0:
         raise ValueError("degenerate series")
     if basis == "total":
-        reference, values = _overflow_free(np.sum, values)
+        reference, values = _overflow_free(np.add.reduce, values)
     else:
         reference = values.max()
     threshold = threshold_fraction * reference
-    peak = int(np.argmax(values))  # earliest argmax on ties
+    peak = int(values.argmax())  # earliest argmax on ties
     # the nearest day below the threshold on each side of the peak, counting
     # the days just past either end of the series as below it
     below = np.concatenate(([True], values < threshold, [True]))
@@ -183,7 +184,7 @@ def cumulative_normalized(series: TimeSeries) -> TimeSeries:
     Where the total overflows float64, the sums run on the values times a
     power of two (``_overflow_free``).
     """
-    cum, _ = _overflow_free(np.cumsum, series.values)
+    cum, _ = _overflow_free(np.add.accumulate, series.values)
     total = cum[-1]
     if total <= 0.0:
         raise ValueError("degenerate series")
@@ -199,7 +200,7 @@ def ccdf(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("values must be a non-empty 1-d collection")
-    if not np.all(np.isfinite(arr)) or arr.min() < 0.0:
+    if not np.isfinite(arr).all() or arr.min() < 0.0:
         raise ValueError("values must be finite and non-negative")
     ordered = np.sort(arr)
     distinct = np.unique(ordered)

@@ -362,7 +362,9 @@ def _loop_evaluate(model, x: list[float]) -> tuple[list[list[float]], list[float
     jac = np.asarray(jac, dtype=np.float64)
     if not (np.isfinite(resid).all() and np.isfinite(jac).all()):
         return [], [], math.nan
-    sums, _ = _normal_sums(resid, jac, np.zeros(1, dtype=np.intp), np.empty(resid.size))
+    # under the errstate the solver holds around the sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, _ = _normal_sums(resid, jac, np.zeros(1, dtype=np.intp), np.empty(resid.size))
     a, b, d, g0, g1, rr = sums[:, 0].tolist()
     return [[a, b], [b, d]], [g0, g1], math.sqrt(rr)
 

@@ -102,6 +102,34 @@ def test_ols_qr_layout(shape):
     assert sol.ssr == (float(r[k, k]) ** 2 if shape[0] > k else 0.0)
 
 
+@pytest.mark.bit_identity
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.lists(st.integers(-150, 150), min_size=2, max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_ols_fit_is_the_raw_qr_of_the_norm_equilibrated_design(seed, extra_rows, exponents):
+    """``ols_fit``'s ssr and effects are, bit for bit, those read from the
+    ``mode="raw"`` QR of [design / np.linalg.norm(design, axis=0) | response],
+    for designs whose column scales span 1e-150 to 1e150."""
+    rng = np.random.default_rng(seed)
+    *column_exponents, response_exponent = exponents
+    k = len(column_exponents)
+    n = k + extra_rows - 1
+    design = rng.normal(size=(n, k)) * 10.0 ** np.array(column_exponents)
+    response = rng.normal(size=n) * 10.0**response_exponent
+    augmented = np.column_stack([design / np.linalg.norm(design, axis=0), response])
+    r = np.linalg.qr(augmented, mode="raw")[0].T
+    if np.abs(r.diagonal()[:k]).min() < 1e-10:
+        with pytest.raises(ValueError, match="singular"):
+            ols_fit(design, response)
+        return
+    sol = ols_fit(design, response)
+    assert sol.effects.tobytes() == r[:k, k].tobytes()
+    assert np.float64(sol.ssr).tobytes() == np.float64(float(r[k, k]) ** 2 if n > k else 0.0).tobytes()
+
+
 def test_ols_singular_design_rejected():
     x = np.arange(10, dtype=float)
     design = np.column_stack([np.ones(10), x, 2.0 * x])
@@ -302,7 +330,9 @@ def solve_one(model, init, bounds, max_iter, tol):
 def _damped_step(jtj, grad, lam):
     """The solver's damped step for one run, as a list, or None when it is not usable."""
     sums = np.array([[jtj[0][0]], [jtj[1][0]], [jtj[1][1]], [grad[0]], [grad[1]]], dtype=np.float64)
-    step, usable = _damped_steps(sums, np.array([lam], dtype=np.float64))
+    # under the errstate the solver holds around the step
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        step, usable = _damped_steps(sums, np.array([lam], dtype=np.float64))
     return step[0].tolist() if usable[0] else None
 
 

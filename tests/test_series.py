@@ -48,6 +48,15 @@ def test_days_must_increase():
         TimeSeries(days=np.array([1, 1]), values=np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("days", [[-(2**62), 2**62], [-(2**63), 2**63 - 1]])
+def test_increasing_days_whose_gap_overflows_int64(days):
+    # the days are compared, not subtracted: their difference wraps round in int64
+    s = TimeSeries(days=days, values=[1.0, 2.0])
+    assert s.days.tolist() == days
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TimeSeries(days=days[::-1], values=[1.0, 2.0])
+
+
 def test_values_must_be_finite_nonnegative():
     with pytest.raises(ValueError):
         ts([1.0, -0.5])
