@@ -6,7 +6,7 @@ speed falls on both sides.  For each end-to-end metric that ``BENCHMARK.json``
 declares, it prints each side's median and interquartile range, and in how
 many pairs the change did better.  It only runs the
 benchmark; it writes nothing into either checkout but the benchmark's own
-scratch files::
+temporary ``.bench_work/``::
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload catalog-scan --pairs 10
 
