@@ -129,11 +129,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
 
 
-def _write_report(config: RunConfig, name: str, rows: list[tuple], schema: tuple) -> None:
-    ingest.write_report(rows, schema, config.out_dir / f"{name}.{config.format}", config.format)
+def _write_report(config: RunConfig, name: str, table: ingest.Table, schema: tuple) -> None:
+    ingest.write_report(table, schema, config.out_dir / f"{name}.{config.format}", config.format)
 
 
-# --- report rows: a schema declares each column's (name, kind); a cell is that kind or None ---
+# --- report tables: a schema declares each column's (name, kind); a cell is that kind or None ---
 
 _CURATE_FIELDS = (
     ("song_id", str), ("stage_reached", int), ("stage_name", str), ("kept", bool),
@@ -165,81 +165,60 @@ _CCDF_SUMMARY_FIELDS = (
 )
 
 
-def _error_row(schema: tuple, song_id: str, error: str) -> tuple:
-    """A failed song's row in a schema that starts with song_id and ends with error."""
-    return (song_id,) + (None,) * (len(schema) - 2) + (error,)
+_PLATFORMS = ("short_video", "web_search")  # a fitted song's, in the order of its rows
 
 
-def _curation_rows(report: curation.CurationReport) -> list[tuple]:
-    return [
-        (o.song_id, o.stage_reached, curation.STAGE_NAMES[o.stage_reached - 1], o.kept, o.reason)
-        for o in report.outcomes
-    ]
+def _attrs(objects: list, *names: str) -> list[list]:
+    """A column per name: each object's attribute of that name, or None for a None object."""
+    return [[None if obj is None else getattr(obj, name) for obj in objects] for name in names]
 
 
-def _granger_rows(batch: granger.GrangerBatch) -> list[tuple]:
-    rows = []
-    for item in batch.items:
-        res = item.result
-        if res is None:
-            rows.append(_error_row(_GRANGER_FIELDS, item.song_id, item.error))
-            continue
-        rows.extend(
-            (item.song_id, r.lag, r.f_stat, r.df_num, r.df_den, r.ssr_ratio, r.p_value,
-             res.best_p, res.causal, res.alpha, None)
-            for r in res.per_lag
-        )
-    return rows
+def _song_rows(items, parts) -> tuple[list, list]:
+    """Each row's song and part of it; a failed song has one row, whose part is None."""
+    rows = [(item, part) for item in items for part in (parts(item) if item.error is None else [None])]
+    return [item for item, _ in rows], [part for _, part in rows]
 
 
-def _histogram_rows(batch: granger.GrangerBatch) -> list[tuple]:
-    best = [it.result.best_p for it in batch.items if it.result is not None]
-    edges = np.linspace(0.0, 1.0, 11)
-    counts, _ = np.histogram(best, bins=edges)
-    return list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
+def _curation_table(report: curation.CurationReport) -> ingest.Table:
+    song_id, stage, kept, reason = _attrs(report.outcomes, "song_id", "stage_reached", "kept", "reason")
+    return ingest.Table(song_id, stage, [curation.STAGE_NAMES[s - 1] for s in stage], kept, reason)
 
 
-def _bass_rows(batch: bass_mod.BassBatch, config: RunConfig) -> list[tuple]:
-    rows = []
-    for item in batch.items:
-        if item.error is not None:
-            rows.append(_error_row(_BASS_FIELDS, item.song_id, item.error))
-            continue
-        rows.extend(
-            (item.song_id, platform, fit.params.p, fit.params.q, fit.params.peak_time,
-             fit.residual_norm, fit.rmse, fit.rmse <= config.bass_rmse_max,
-             fit.converged, fit.n_points, None)
-            for platform, fit in (("short_video", item.short_video), ("web_search", item.web_search))
-        )
-    return rows
+def _granger_table(batch: granger.GrangerBatch) -> ingest.Table:
+    items, lags = _song_rows(batch.items, lambda item: item.result.per_lag)
+    song_id, error = _attrs(items, "song_id", "error")
+    per_lag = _attrs(lags, "lag", "f_stat", "df_num", "df_den", "ssr_ratio", "p_value")
+    per_song = _attrs([item.result for item in items], "best_p", "causal", "alpha")
+    return ingest.Table(song_id, *per_lag, *per_song, error)
 
 
-def _scatter_rows(batch: bass_mod.BassBatch) -> list[tuple]:
-    return [
-        (item.song_id, item.short_video.params.p, item.short_video.params.q,
-         item.web_search.params.p, item.web_search.params.q)
-        for item in batch.items
-        if item.error is None
-    ]
+def _bass_table(batch: bass_mod.BassBatch, config: RunConfig) -> ingest.Table:
+    items, platforms = _song_rows(batch.items, lambda item: _PLATFORMS)
+    fits = [platform and getattr(item, platform) for item, platform in zip(items, platforms)]
+    song_id, error = _attrs(items, "song_id", "error")
+    params = _attrs([fit and fit.params for fit in fits], "p", "q", "peak_time")
+    norm, rmse, converged, n_points = _attrs(fits, "residual_norm", "rmse", "converged", "n_points")
+    within = [None if r is None else r <= config.bass_rmse_max for r in rmse]
+    return ingest.Table(song_id, platforms, *params, norm, rmse, within, converged, n_points, error)
 
 
-def _overlay_rows(batch: bass_mod.BassBatch) -> list[tuple]:
-    rows = []
-    for item in batch.items:
-        if item.error is None:
-            for platform, fit in (("short_video", item.short_video), ("web_search", item.web_search)):
-                rows.extend(zip([item.song_id] * fit.n_points, [platform] * fit.n_points,
-                                fit.offsets.astype(np.int64).tolist(), fit.observed.tolist(),
-                                fit.fitted.tolist()))
-    return rows
+def _scatter_table(batch: bass_mod.BassBatch) -> ingest.Table:
+    fitted = [item for item in batch.items if item.error is None]
+    sv, ws = ([getattr(item, platform).params for item in fitted] for platform in _PLATFORMS)
+    return ingest.Table(*_attrs(fitted, "song_id"), *_attrs(sv, "p", "q"), *_attrs(ws, "p", "q"))
 
 
-def _ccdf_rows(totals: list[float]) -> tuple[list[tuple], list[tuple]]:
-    popularity, fraction_above = series.ccdf(totals)
-    point_rows = list(zip(popularity.tolist(), fraction_above.tolist()))
-    arr = np.asarray(totals, dtype=np.float64)
-    q1, median, q3 = np.quantile(arr, [0.25, 0.5, 0.75]).tolist()
-    return point_rows, [(arr.size, float(arr.min()), q1, median, q3, float(arr.max()))]
+def _overlay_table(batch: bass_mod.BassBatch) -> ingest.Table:
+    # each fit's window, in bass_report's row order
+    items, platforms = _song_rows([item for item in batch.items if item.error is None], lambda item: _PLATFORMS)
+    fits = [getattr(item, platform) for item, platform in zip(items, platforms)]
+    sizes = [fit.n_points for fit in fits]
+    song_id, platform = (np.repeat(np.array(cells, dtype=object), sizes).tolist()
+                         for cells in ([item.song_id for item in items], platforms))
+    # [[]] leaves np.concatenate an array to join when no song was fitted
+    offsets, observed, fitted = ([[]] + windows for windows in _attrs(fits, "offsets", "observed", "fitted"))
+    return ingest.Table(song_id, platform, np.concatenate(offsets).astype(np.int64),
+                        np.concatenate(observed), np.concatenate(fitted))
 
 
 # --- stages -----------------------------------------------------------------
@@ -305,7 +284,7 @@ def _run(config: RunConfig, through: str) -> _Result:
 
 
 def _write_curate(config: RunConfig, result: _Result) -> None:
-    _write_report(config, "curate_report", _curation_rows(result.report), _CURATE_FIELDS)
+    _write_report(config, "curate_report", _curation_table(result.report), _CURATE_FIELDS)
     ingest.write_dataset(result.kept, config.out_dir / "curate_manifest.json", "curate_series")
     for name, count in result.report.funnel:
         print(f"{name}: {count}")
@@ -314,8 +293,10 @@ def _write_curate(config: RunConfig, result: _Result) -> None:
 
 def _write_granger(config: RunConfig, result: _Result) -> None:
     batch = result.batch
-    _write_report(config, "granger_report", _granger_rows(batch), _GRANGER_FIELDS)
-    _write_report(config, "granger_histogram", _histogram_rows(batch), _HISTOGRAM_FIELDS)
+    edges = np.linspace(0.0, 1.0, 11)
+    counts = np.histogram([it.result.best_p for it in batch.items if it.result is not None], bins=edges)[0]
+    _write_report(config, "granger_report", _granger_table(batch), _GRANGER_FIELDS)
+    _write_report(config, "granger_histogram", ingest.Table(edges[:-1], edges[1:], counts), _HISTOGRAM_FIELDS)
     print(
         f"causality screen: {batch.n_causal} of {batch.n_tested} tested songs "
         f"flagged at alpha={config.alpha:g} ({batch.n_failed} failed)"
@@ -324,9 +305,9 @@ def _write_granger(config: RunConfig, result: _Result) -> None:
 
 def _write_bass(config: RunConfig, result: _Result) -> None:
     fits = result.fits
-    _write_report(config, "bass_report", _bass_rows(fits, config), _BASS_FIELDS)
-    _write_report(config, "bass_scatter", _scatter_rows(fits), _SCATTER_FIELDS)
-    _write_report(config, "bass_overlay", _overlay_rows(fits), _OVERLAY_FIELDS)
+    _write_report(config, "bass_report", _bass_table(fits, config), _BASS_FIELDS)
+    _write_report(config, "bass_scatter", _scatter_table(fits), _SCATTER_FIELDS)
+    _write_report(config, "bass_overlay", _overlay_table(fits), _OVERLAY_FIELDS)
     print(
         f"diffusion fits: {fits.n_fits} fits over {fits.n_total} flagged songs "
         f"({fits.n_failed} failed)"
@@ -334,14 +315,12 @@ def _write_bass(config: RunConfig, result: _Result) -> None:
 
 
 def _write_ccdf(config: RunConfig, result: _Result) -> None:
-    point_rows, summary_rows = _ccdf_rows(result.totals)
-    _write_report(config, "ccdf_points", point_rows, _CCDF_POINT_FIELDS)
-    _write_report(config, "ccdf_summary", summary_rows, _CCDF_SUMMARY_FIELDS)
-    n_songs, low, q1, median, q3, high = summary_rows[0]
-    print(
-        f"popularity over {n_songs} songs: min {low:.12g}, "
-        f"q1 {q1:.12g}, median {median:.12g}, q3 {q3:.12g}, max {high:.12g}"
-    )
+    arr = np.asarray(result.totals, dtype=np.float64)
+    q1, median, q3 = np.quantile(arr, [0.25, 0.5, 0.75]).tolist()
+    summary = (arr.size, float(arr.min()), q1, median, q3, float(arr.max()))
+    _write_report(config, "ccdf_points", ingest.Table(*series.ccdf(result.totals)), _CCDF_POINT_FIELDS)
+    _write_report(config, "ccdf_summary", ingest.Table(*([cell] for cell in summary)), _CCDF_SUMMARY_FIELDS)
+    print("popularity over %d songs: min %.12g, q1 %.12g, median %.12g, q3 %.12g, max %.12g" % summary)
 
 
 _WRITERS = {

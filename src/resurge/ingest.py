@@ -41,6 +41,7 @@ __all__ = [
     "write_manifest",
     "load_dataset",
     "write_dataset",
+    "Table",
     "write_report",
 ]
 
@@ -532,7 +533,8 @@ def _encode_column(column, kind, nullable: bool, format: str, encoded: dict) -> 
         texts = iter(_encode_column(present, kind, False, format, encoded))
         return [_CONSTANTS[format][None] if cell is None else next(texts) for cell in column]
     if kind is float:
-        texts = map("%.12g".__mod__, column)
+        # one % call spells the whole column; the split leaves a last, empty text
+        texts = ("%.12g\n" * len(column) % tuple(column)).split("\n")[:-1]
         if format == "csv":
             return texts
         # with a point and no exponent, 12 digits are already the shortest repr
@@ -545,36 +547,54 @@ def _encode_column(column, kind, nullable: bool, format: str, encoded: dict) -> 
     return map(_CONSTANTS[format].__getitem__, column)
 
 
-def write_report(rows: Sequence[tuple], schema: Sequence[tuple[str, type]], path, format: str) -> None:
-    """Write rows as JSON Lines or CSV; each row holds one value per column, in order.
+class Table:
+    """A report's columns, one per schema entry; ``len()`` is its row count."""
+
+    def __init__(self, *columns) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+
+def write_report(table: Table, schema: Sequence[tuple[str, type]], path, format: str) -> None:
+    """Write a table as JSON Lines or CSV, one column per schema entry, in order.
 
     *schema* declares each column as a ``(name, kind)`` pair, *kind* being
-    ``bool``, ``int``, ``float`` or ``str``.  A cell holds a value of its
-    column's kind, or of a subclass such as ``np.float64``, or ``None``; a
-    bool is not an int.  Floats are rounded to 12 significant digits; JSON
-    Lines writes the shortest ``repr`` of the rounded value, with ``NaN`` and
-    ``Infinity`` for non-finite ones.  CSV writes an empty cell for ``None``,
-    ``true`` and ``false`` for booleans, and quotes a cell, doubling its
-    quotes, exactly when it holds ``,``, ``"``, ``\\r`` or ``\\n``.  Every error
-    is raised before the file is opened: ``ValueError`` for an unknown
-    *format*, a row of the wrong length, or a string cell holding a lone
-    surrogate, which UTF-8 cannot encode; ``TypeError`` for a cell of another
-    kind.  Each chunk of ``_CHUNK_ROWS`` rows is encoded a column at a time and
+    ``bool``, ``int``, ``float`` or ``str``.  A column is a list whose cells
+    hold a value of its kind, or of a subclass such as ``np.float64``, or
+    ``None`` (a bool is not an int); or a 1-D array of the kind's dtype,
+    ``float64``, ``int64`` or ``bool``, checked by that dtype alone.  Floats
+    are rounded to 12 significant digits; JSON Lines writes the shortest
+    ``repr`` of the rounded value, with ``NaN`` and ``Infinity`` for
+    non-finite ones.  CSV writes an empty cell for ``None``, ``true`` and
+    ``false`` for booleans, and quotes a cell, doubling its quotes, exactly
+    when it holds ``,``, ``"``, ``\\r`` or ``\\n``.  Every error is raised
+    before the file is opened: ``ValueError`` for an unknown *format*, a
+    column count other than the schema's, a column of another length than
+    the first, or a string cell holding a lone surrogate, which UTF-8 cannot
+    encode; ``TypeError`` for a cell of another kind, or any other array.
+    Each chunk of ``_CHUNK_ROWS`` rows is encoded a column at a time and
     written as one join of its cells and the fixed separators around them.
     """
     if format not in REPORT_FORMATS:
         raise ValueError("format must be 'jsonl' or 'csv'")
-    # zip(*rows) would cut every row to the shortest one
-    if set(map(len, rows)) - {len(schema)}:
-        index, row = next((i, row) for i, row in enumerate(rows) if len(row) != len(schema))
-        raise ValueError(f"report row {index} has {len(row)} values for {len(schema)} columns")
+    columns, n_rows = list(table.columns), len(table)
+    if len(columns) != len(schema):
+        raise ValueError(f"report has {len(columns)} columns for the {len(schema)} of {[n for n, _ in schema]}")
     # a streamed write cannot take back the lines before a cell it cannot
-    # encode, so every cell type and every distinct string is checked first
-    columns = list(zip(*rows))
+    # encode, so every column, cell type and distinct string is checked first
     encode = _JSON if format == "jsonl" else _csv_cell
     nullable, encoded = [], []
-    for (name, kind), column in zip(schema, columns):
-        types = set(map(type, column))
+    for j, ((name, kind), column) in enumerate(zip(schema, columns)):
+        if len(column) != n_rows:
+            raise ValueError(f"report column {name!r} has {len(column)} rows for {n_rows}")
+        array = isinstance(column, np.ndarray)
+        dtype = {float: "float64", int: "int64", bool: "bool"}.get(kind)
+        if array and (dtype is None or column.ndim != 1 or column.dtype != dtype):
+            raise TypeError(f"report column {name!r} of {kind.__name__} is a {column.ndim}-D {column.dtype} array")
+        # an array's dtype stands for the type of every cell, and none is None
+        columns[j], types = (column.tolist(), {kind}) if array else (column, set(map(type, column)))
         nullable.append(type(None) in types)
         wrong = {t for t in types - {type(None)} if not issubclass(t, kind) or (t is bool) != (kind is bool)}
         if wrong:
@@ -600,7 +620,7 @@ def write_report(rows: Sequence[tuple], schema: Sequence[tuple[str, type]], path
         header = ",".join(map(_csv_cell, names)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
-        for start in range(0, len(rows), _CHUNK_ROWS):
+        for start in range(0, n_rows, _CHUNK_ROWS):
             chunks = [column[start : start + _CHUNK_ROWS] for column in columns]
             cells = map(_encode_column, chunks, kinds, nullable, [format] * len(kinds), encoded)
             parts = layout * len(chunks[0])

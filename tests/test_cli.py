@@ -565,6 +565,11 @@ def test_failed_song_row_holds_only_id_and_error(capsys, tmp_path, demo_dir, fmt
     assert [row[name] for name in names[1:-1]] == [blank] * (len(names) - 2)
 
 
+def table_rows(table: ingest.Table) -> list[tuple]:
+    """A report table's rows, an array column giving its cells as Python scalars."""
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table.columns)))
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_error_rows_match_the_reference_writer(monkeypatch, capsys, tmp_path, demo_dir, fmt):
     # the demo songs, plus an allowlisted song that fails Granger next to
@@ -578,9 +583,10 @@ def test_error_rows_match_the_reference_writer(monkeypatch, capsys, tmp_path, de
     written = {}
     write_report = ingest.write_report
 
-    def write_both(rows, schema, path, format):
-        write_report(rows, schema, path, format)
+    def write_both(table, schema, path, format):
+        write_report(table, schema, path, format)
         names = [name for name, _ in schema]
+        rows = table_rows(table)
         write_report_reference(rows, names, path.with_name("reference_" + path.name), format)
         written[path.name] = (schema, rows)
 
@@ -600,6 +606,48 @@ def test_error_rows_match_the_reference_writer(monkeypatch, capsys, tmp_path, de
     schema, rows = written[f"granger_report.{fmt}"]
     assert schema[-1] == ("error", str)
     assert {row[-1] is None for row in rows} == {True, False}
+
+
+def test_every_report_is_a_table_whose_len_is_its_row_count(monkeypatch, tmp_path, demo_dir):
+    # the benchmark's tracer counts the rows of each report as len() of
+    # write_report's first positional argument
+    seen = []
+    write_report = ingest.write_report
+
+    def spy(*args, **kwargs):
+        assert len(args) == 4 and not kwargs
+        write_report(*args)
+        seen.append((args[0], args[2], args[3]))
+
+    monkeypatch.setattr(ingest, "write_report", spy)
+    for fmt in ("jsonl", "csv"):
+        for command in ("pipeline", "ccdf"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([command, *demo_args(demo_dir, tmp_path / fmt, fmt)]) == 0
+    assert len(seen) == 16
+    for table, path, fmt in seen:
+        lines = path.read_bytes().count(b"\n")
+        assert len(table) == (lines if fmt == "jsonl" else lines - 1), path.name
+        assert len(table) == len(read_report(path, fmt)), path.name
+        assert [len(column) for column in table.columns] == [len(table)] * len(table.columns), path.name
+    assert {path.name for _, path, _ in seen} == {
+        f"{name}.{fmt}" for fmt in ("jsonl", "csv") for name in (
+            "curate_report", "granger_report", "granger_histogram", "bass_report",
+            "bass_scatter", "bass_overlay", "ccdf_points", "ccdf_summary",
+        )
+    }
+
+
+def test_importing_the_cli_loads_no_dependency_beyond_numpy():
+    # the README promises no runtime dependency beyond numpy; an import
+    # is also part of every run's start-up time
+    code = (
+        "import sys; before = set(sys.modules); import resurge.cli; "
+        "print(*{name.split('.')[0] for name in set(sys.modules) - before} - set(sys.stdlib_module_names))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(resurge.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert {"resurge"} <= set(done.stdout.split()) <= {"numpy", "resurge"}
 
 
 def test_pipeline_on_empty_dataset(tmp_path):
@@ -627,7 +675,7 @@ def test_report_schemas_are_declared_once_and_well_formed():
         assert len(set(names)) == len(names), name
         assert all(type(column) is str and column.isascii() for column in names), name
         assert {kind for _, kind in schema} <= {bool, int, float, str}, name
-    # the schemas whose failed songs get _error_row's rows
+    # the schemas whose failed songs get a row of only their song_id and error
     for schema in (cli._GRANGER_FIELDS, cli._BASS_FIELDS):
         assert schema[0] == ("song_id", str) and schema[-1] == ("error", str)
 

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from resurge.ingest import (
     DatasetManifest,
     ManifestEntry,
     ParseError,
+    Table,
     load_dataset,
     load_manifest,
     parse_allowlist,
@@ -826,23 +828,35 @@ SAMPLE_ROWS = [
 SAMPLE_SCHEMA = [("song_id", str), ("p_value", float), ("causal", bool), ("note", str)]
 
 
+def rows_table(rows, n_columns=len(SAMPLE_SCHEMA)) -> Table:
+    """The table that holds *rows*, one list per column."""
+    return Table(*([row[j] for row in rows] for j in range(n_columns)))
+
+
 def test_write_report_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
-        write_report([], SAMPLE_SCHEMA, tmp_path / "r", "xml")
+        write_report(rows_table([]), SAMPLE_SCHEMA, tmp_path / "r", "xml")
 
 
 def test_empty_report(tmp_path):
     jsonl = tmp_path / "r.jsonl"
-    write_report([], SAMPLE_SCHEMA, jsonl, "jsonl")
+    write_report(rows_table([]), SAMPLE_SCHEMA, jsonl, "jsonl")
     assert jsonl.read_text() == ""
     csv_path = tmp_path / "r.csv"
-    write_report([], SAMPLE_SCHEMA, csv_path, "csv")
+    write_report(rows_table([]), SAMPLE_SCHEMA, csv_path, "csv")
     assert csv_path.read_text() == "song_id,p_value,causal,note\n"
+
+
+def test_table_len_is_its_row_count():
+    assert len(rows_table(SAMPLE_ROWS)) == 2
+    assert len(rows_table([])) == 0
+    assert len(Table(np.zeros(5), [None] * 5)) == 5
+    assert len(Table()) == 0
 
 
 def test_jsonl_report_round_trip(tmp_path):
     path = tmp_path / "r.jsonl"
-    write_report(SAMPLE_ROWS, SAMPLE_SCHEMA, path, "jsonl")
+    write_report(rows_table(SAMPLE_ROWS), SAMPLE_SCHEMA, path, "jsonl")
     rows = read_report(path, "jsonl")
     assert rows[0]["song_id"] == "a"
     assert rows[0]["causal"] is True
@@ -854,7 +868,7 @@ def test_jsonl_report_round_trip(tmp_path):
 
 def test_csv_report_encodings(tmp_path):
     path = tmp_path / "r.csv"
-    write_report(SAMPLE_ROWS, SAMPLE_SCHEMA, path, "csv")
+    write_report(rows_table(SAMPLE_ROWS), SAMPLE_SCHEMA, path, "csv")
     text = path.read_text()
     assert "true" in text and "false" in text
     assert ",0.123456789012," in text
@@ -867,22 +881,42 @@ def test_csv_report_encodings(tmp_path):
 def test_report_writing_is_idempotent(tmp_path):
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
-    write_report(SAMPLE_ROWS, SAMPLE_SCHEMA, first, "jsonl")
+    write_report(rows_table(SAMPLE_ROWS), SAMPLE_SCHEMA, first, "jsonl")
     rows = [tuple(r.values()) for r in read_report(first, "jsonl")]
-    write_report(rows, SAMPLE_SCHEMA, second, "jsonl")
+    write_report(rows_table(rows), SAMPLE_SCHEMA, second, "jsonl")
     assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-@pytest.mark.parametrize("bad_row", [("c", 0.5, True), ("c", 0.5, True, None, "extra")],
-                         ids=["short", "long"])
-def test_write_report_rejects_mis_shaped_row(tmp_path, fmt, bad_row):
+@pytest.mark.parametrize("n_columns", [3, 5], ids=["short", "long"])
+def test_write_report_rejects_mis_shaped_row(tmp_path, fmt, n_columns):
+    # a table of too few or too many columns for its schema
     path = tmp_path / f"r.{fmt}"
-    with pytest.raises(ValueError, match=f"report row 2 has {len(bad_row)} values for 4 columns"):
-        write_report(SAMPLE_ROWS + [bad_row], SAMPLE_SCHEMA, path, fmt)
-    # of two bad rows of different lengths, the first is named
-    with pytest.raises(ValueError, match=f"report row 2 has {len(bad_row)} values for 4 columns"):
-        write_report(SAMPLE_ROWS + [bad_row, SAMPLE_ROWS[0], ("d",) * 6], SAMPLE_SCHEMA, path, fmt)
+    rows = [row + (None,) for row in SAMPLE_ROWS]
+    with pytest.raises(ValueError, match=re.escape(
+        f"report has {n_columns} columns for the 4 of ['song_id', 'p_value', 'causal', 'note']"
+    )):
+        write_report(rows_table(rows, n_columns), SAMPLE_SCHEMA, path, fmt)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("column, cells", [
+    ("p_value", [0.5] * (2 * ingest._CHUNK_ROWS + 1)),
+    ("note", [None] * (2 * ingest._CHUNK_ROWS - 1)),
+    ("causal", np.ones(2 * ingest._CHUNK_ROWS + 1, dtype=bool)),
+    ("p_value", np.zeros(1, dtype=np.float64)),
+], ids=["long_list", "short_list", "long_array", "short_array"])
+def test_write_report_rejects_columns_of_unequal_length(tmp_path, fmt, column, cells):
+    path = tmp_path / f"r.{fmt}"
+    # past the first chunk, so a streamed write would already have written lines
+    table = rows_table(SAMPLE_ROWS * ingest._CHUNK_ROWS)
+    columns = list(table.columns)
+    columns[[name for name, _ in SAMPLE_SCHEMA].index(column)] = cells
+    with pytest.raises(ValueError, match=(
+        rf"^report column '{column}' has {len(cells)} rows for {2 * ingest._CHUNK_ROWS}$"
+    )):
+        write_report(Table(*columns), SAMPLE_SCHEMA, path, fmt)
     assert not path.exists()
 
 
@@ -913,7 +947,30 @@ def test_write_report_rejects_cells_it_cannot_encode(tmp_path, fmt, column, cell
     with pytest.raises(TypeError, match=(
         rf"^report row {len(rows) - 1} column '{column}' holds a {type_name}, not {kind} or None$"
     )):
-        write_report(rows, schema, path, fmt)
+        write_report(rows_table(rows, len(schema)), schema, path, fmt)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("column, array, description", [
+    ("p_value", np.zeros(3, dtype=np.float32), "1-D float32"),
+    ("n", np.zeros(3, dtype=np.int32), "1-D int32"),
+    ("p_value", np.zeros(3, dtype=object), "1-D object"),
+    ("causal", np.zeros(3, dtype=np.int64), "1-D int64"),
+    ("p_value", np.zeros((3, 1)), "2-D float64"),
+    ("n", np.zeros((3, 2), dtype=np.int64), "2-D int64"),
+    # a column of strings takes a list only
+    ("song_id", np.array(["a", "b", "c"]), "1-D <U1"),
+], ids=["float32", "int32", "object", "int_for_bool", "2d_float", "2d_int", "str_array"])
+def test_write_report_rejects_arrays_of_another_dtype_or_shape(tmp_path, fmt, column, array, description):
+    path = tmp_path / f"r.{fmt}"
+    schema = SAMPLE_SCHEMA + [("n", int)]
+    names = [name for name, _ in schema]
+    columns = [["a", "b", "c"], np.zeros(3), np.ones(3, dtype=bool), [None] * 3, np.arange(3)]
+    columns[names.index(column)] = array
+    kind = dict(schema)[column].__name__
+    with pytest.raises(TypeError, match=rf"^report column '{column}' of {kind} is a {description} array$"):
+        write_report(Table(*columns), schema, path, fmt)
     assert not path.exists()
 
 
@@ -930,7 +987,7 @@ def test_write_report_rejects_strings_utf8_cannot_encode(tmp_path, fmt, bad_row,
         rf"^report row {len(rows) - 1} column '{column}' holds a lone surrogate, "
         "which UTF-8 cannot encode$"
     )):
-        write_report(rows, SAMPLE_SCHEMA, path, fmt)
+        write_report(rows_table(rows), SAMPLE_SCHEMA, path, fmt)
     assert not path.exists()
 
 
@@ -938,7 +995,7 @@ def test_csv_quotes_exactly_the_cells_that_need_it(tmp_path):
     path = tmp_path / "r.csv"
     cells = ("a,b", 'say "hi"', "cr\rhere", "lf\nhere", "plain {} % text", "caf\u00e9")
     schema = [(name, str) for name in ("c,1", "c2", "c3", "c4", "c5", "c6")]
-    write_report([cells], schema, path, "csv")
+    write_report(Table(*([cell] for cell in cells)), schema, path, "csv")
     assert path.read_bytes().decode("utf-8") == (
         '"c,1",c2,c3,c4,c5,c6\n'
         '"a,b","say ""hi""","cr\rhere","lf\nhere",plain {} % text,caf\u00e9\n'
@@ -951,13 +1008,16 @@ def test_jsonl_floats_are_the_shortest_repr_of_12_digits(tmp_path):
     path = tmp_path / "r.jsonl"
     values = (0.1 + 0.2, 1.0, 1234567890123.4, 1e16, 2.5e-7, 5e-324, -0.0,
               math.nan, math.inf, -math.inf)
-    write_report(list(enumerate(values)), [("i", int), ("x", float)], path, "jsonl")
-    assert path.read_text().splitlines() == [
-        '{"i": %d, "x": %s}' % pair for pair in enumerate((
-            "0.3", "1.0", "1234567890120.0", "1e+16", "2.5e-07", "5e-324", "-0.0",
-            "NaN", "Infinity", "-Infinity",
-        ))
-    ]
+    # lists, and arrays checked by dtype alone, are spelt alike
+    for table in (Table(list(range(len(values))), list(values)),
+                  Table(np.arange(len(values)), np.array(values))):
+        write_report(table, [("i", int), ("x", float)], path, "jsonl")
+        assert path.read_text().splitlines() == [
+            '{"i": %d, "x": %s}' % pair for pair in enumerate((
+                "0.3", "1.0", "1234567890120.0", "1e+16", "2.5e-07", "5e-324", "-0.0",
+                "NaN", "Infinity", "-Infinity",
+            ))
+        ]
 
 
 # --- the streamed writer against the row-at-a-time reference ---------------------------
@@ -985,6 +1045,19 @@ _pools = st.one_of(
 )
 
 
+# an array column of each kind that has one; a column of str is a list only
+_DTYPES = {float: np.float64, int: np.int64, bool: np.bool_}
+
+
+def _as_array(column: list, kind):
+    """*column* as an array of its kind's dtype, or None where it cannot be one."""
+    if kind not in _DTYPES or None in column:
+        return None
+    if kind is int and not all(-(2**63) <= cell < 2**63 for cell in column):
+        return None
+    return np.array(column, dtype=_DTYPES[kind])
+
+
 @st.composite
 def _reports(draw):
     names = draw(st.lists(_texts, min_size=2, max_size=4, unique=True))
@@ -994,8 +1067,10 @@ def _reports(draw):
     for name in names:
         kind, pool = draw(_pools)
         schema.append((name, kind))
-        columns.append([rng.choice(pool) for _ in range(n_rows)])
-    return schema, list(zip(*columns))
+        column = [rng.choice(pool) for _ in range(n_rows)]
+        array = _as_array(column, kind)
+        columns.append(array if array is not None and draw(st.booleans()) else column)
+    return schema, columns
 
 
 def _csv_module_follows_the_rule(text: str) -> bool:
@@ -1017,20 +1092,29 @@ def _csv_module_follows_the_rule(text: str) -> bool:
 
 @given(_reports())
 # signed zeros, and the None cells of a failed song's row, among floats and ints
-@example(([("a", float), ("b", int)], [(-0.0, 1), (0.0, None), (None, 0), (np.float64(-0.0), None)]))
+@example(([("a", float), ("b", int)], [[-0.0, 0.0, None, np.float64(-0.0)], [1, None, 0, None]]))
 # names and cells holding what a %-template or a JSON key would have to escape
 @pytest.mark.bit_identity
-@example(([("%", int), ("%s", str), ("{", float)], [(1, "%s", 0.5), (None, "%%", None)]))
-@example(([('"', str), ("\\", bool), ("%(x)s}", int)], [('{"\\', True, 3), ("%", None, None)]))
+@example(([("%", int), ("%s", str), ("{", float)], [[1, None], ["%s", "%%"], [0.5, None]]))
+@example(([('"', str), ("\\", bool), ("%(x)s}", int)], [['{"\\', "%"], [True, None], [3, None]]))
+# array columns at the ends of their dtypes, next to a list column
+@example(([("f", float), ("i", int), ("b", bool), ("s", str)], [
+    np.array([-0.0, math.nan, -math.inf, 5e-324, 1e16, 0.1 + 0.2]),
+    np.array([-(2**63), 2**63 - 1, 0, -1, 1, 10**12], dtype=np.int64),
+    np.array([True, False] * 3), ["x", None, "y,z", "", '"', "\n"],
+]))
 @settings(max_examples=60, deadline=None)
 def test_streamed_writer_matches_the_reference(tmp_path_factory, report):
-    schema, rows = report
+    schema, columns = report
     names = [name for name, _ in schema]
+    # the reference takes rows; an array column gives its cells as Python scalars
+    cells = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns]
+    rows = list(zip(*cells))
     directory = tmp_path_factory.mktemp("report")
-    texts = names + [cell for row in rows for cell in row if isinstance(cell, str)]
+    texts = names + [cell for column in cells for cell in column if isinstance(cell, str)]
     for fmt in ("jsonl", "csv"):
         if fmt == "csv" and not all(map(_csv_module_follows_the_rule, set(texts))):
             continue
-        write_report(rows, schema, directory / f"new.{fmt}", fmt)
+        write_report(Table(*columns), schema, directory / f"new.{fmt}", fmt)
         write_report_reference(rows, names, directory / f"old.{fmt}", fmt)
         assert (directory / f"new.{fmt}").read_bytes() == (directory / f"old.{fmt}").read_bytes()
