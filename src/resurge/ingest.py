@@ -70,8 +70,6 @@ _CANONICAL_SERIES_HEADER = "date,value\n"
 _CANONICAL_SERIES_BODY_RE = re.compile(
     r"(?:[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9],[0-9.][0-9.eE+-]*\n)+"
 )
-# datetime64[D] counts days from 1970-01-01, ordinals from 0001-01-01 = 1
-_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _MAX_ORDINAL = dt.date.max.toordinal()
 # years of the date calendar kept spelt, about 25 KB each
 _CALENDAR_YEARS = 64
@@ -124,30 +122,18 @@ def parse_iso_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def _parse_date(text: str, path, lineno: int) -> int:
+def _parse_date(text: str, path, lineno: int) -> dt.date:
     try:
-        return parse_iso_date(text).toordinal()
+        return parse_iso_date(text)
     except ValueError:
         raise ParseError(path, lineno, f"invalid ISO date {text!r}") from None
-
-
-def _spell_dates(days: np.ndarray) -> list[str]:
-    """The ``YYYY-MM-DD`` text of each day ordinal in years 1 to 9999."""
-    # YYYYMMDD's eight digits as UTF-32 code points around the dashes, viewed as strings
-    day = (days - _EPOCH_ORDINAL).astype("datetime64[D]")
-    month, year = day.astype("datetime64[M]"), day.astype("datetime64[Y]")
-    ymd = (year.astype(np.int64) + 1970) * 10000 + (month - year).astype(np.int64) * 100
-    ymd += (day - month).astype(np.int64) + 101
-    text = np.full((len(days), 10), ord("-"), dtype=np.uint32)
-    text[:, [0, 1, 2, 3, 5, 6, 8, 9]] = ymd[:, None] // 10 ** np.arange(7, -1, -1) % 10 + ord("0")
-    return text.view("U10").ravel().tolist()
 
 
 @functools.lru_cache(maxsize=_CALENDAR_YEARS)
 def _calendar_year(year: int) -> tuple[int, tuple[str, ...]]:
     """The ordinal of *year*'s first day and the text of each of its days."""
-    first = dt.date(year, 1, 1).toordinal()
-    return first, tuple(_spell_dates(np.arange(first, dt.date(year, 12, 31).toordinal() + 1)))
+    first, last = dt.date(year, 1, 1).toordinal(), dt.date(year, 12, 31).toordinal()
+    return first, tuple(map(dt.date.isoformat, map(dt.date.fromordinal, range(first, last + 1))))
 
 
 def _calendar(first: int, count: int) -> list[str]:
@@ -256,7 +242,7 @@ def _parse_series_lines(path, text: str) -> TimeSeries:
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(path, lineno, f"expected 2 fields, got {len(parts)}")
-        day = _parse_date(parts[0].strip(), path, lineno)
+        day = _parse_date(parts[0].strip(), path, lineno).toordinal()
         value_text = parts[1].strip()
         value = float(value_text) if _VALUE_RE.fullmatch(value_text) else math.nan
         if not math.isfinite(value):
@@ -282,9 +268,8 @@ def write_series_file(series: TimeSeries, path) -> None:
 
     A day outside the years 1 to 9999 is a ``ValueError``, raised before the
     file is opened.  A daily series takes its dates from the date calendar;
-    any other has them spelt from their YYYYMMDD digits a column at a time.
-    Values are spelt by ``float.__repr__``, and the rows are written with
-    one join.
+    any other has each spelt by ``date.isoformat``.  Values are spelt by
+    ``float.__repr__``, and the rows are written with one join.
     """
     days = series.days
     # four digits cannot hold year 10000, and parse_series_file rejects year 0;
@@ -295,7 +280,8 @@ def write_series_file(series: TimeSeries, path) -> None:
     first, count = int(days[0]), len(days)
     daily = int(days[-1]) - first + 1 == count
     parts = [None, ",", None, "\n"] * count
-    parts[0::4] = _calendar(first, count) if daily else _spell_dates(days)
+    parts[0::4] = (_calendar(first, count) if daily
+                   else map(dt.date.isoformat, map(dt.date.fromordinal, days.tolist())))
     parts[2::4] = map(float.__repr__, series.values.tolist())  # the shortest round-tripping form
     Path(path).write_text(_CANONICAL_SERIES_HEADER + "".join(parts), encoding="utf-8")
 
@@ -324,13 +310,13 @@ def parse_catalog_file(path) -> list[CatalogEntry]:
         if len(parts) != 4:
             raise ParseError(path, lineno, f"expected 4 fields, got {len(parts)}")
         title, artist, date_text, kind = parts
-        day = _parse_date(date_text, path, lineno)
+        release_date = _parse_date(date_text, path, lineno)
         try:
             entries.append(
                 CatalogEntry(
                     title=title,
                     artist=artist,
-                    release_date=dt.date.fromordinal(day),
+                    release_date=release_date,
                     release_kind=kind,
                 )
             )

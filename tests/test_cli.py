@@ -204,7 +204,7 @@ def test_out_dir_naming_a_file_exits_one(capsys, tmp_path, demo_dir):
 # --- commands on the bundled fixture --------------------------------------------------
 
 
-def test_curate_on_demo(capsys, tmp_path, demo_dir):
+def test_curate_on_demo(capsys, tmp_path, demo_dir, monkeypatch):
     assert main(["curate"] + demo_args(demo_dir, tmp_path)) == 0
     out = capsys.readouterr().out
     assert "input: 10" in out
@@ -222,6 +222,12 @@ def test_curate_on_demo(capsys, tmp_path, demo_dir):
         assert (tmp_path / song["short_video"]).is_file()
         assert (tmp_path / song["web_search"]).is_file()
 
+    # what the package writes reads back on the bulk path: daily series from
+    # the calendar, and the demo's one series with gaps row by row
+    def no_line_reader(path, text):
+        raise AssertionError(f"{path} left the bulk path")
+
+    monkeypatch.setattr(ingest, "_parse_series_lines", no_line_reader)
     # the curated set is itself a dataset: it loads back as the records curate kept
     kept_records, _ = curation.curate(
         ingest.load_dataset(demo_dir / "manifest.json"),

@@ -458,7 +458,11 @@ def test_series_writer_spells_each_date_as_isoformat_does(tmp_path):
              for a, b in years]
     days = np.unique(np.concatenate([*spans, np.arange(1, _MAX_DAY + 1, 101)]))
     path = tmp_path / "s.csv"
+    before = _calendar_lookups()
     write_series_file(TimeSeries(days=days, values=np.ones(days.size)), path)
+    # a series that is not daily never touches the calendar, so spanning the
+    # years 1 to 9999 evicts none of the years it keeps
+    assert _calendar_lookups() == before
     dates = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
     assert dates == [dt.date.fromordinal(day).isoformat() for day in days.tolist()]
 
