@@ -43,10 +43,10 @@ class RunConfig:
     allowlist: Path | None = None
     cutoff_date: dt.date = curation.DEFAULT_CUTOFF
     min_points: int = curation.DEFAULT_MIN_POINTS
-    peak_threshold: float = 0.05
-    peak_basis: str = "total"
-    lag_min: int = 1
-    lag_max: int = 5
+    peak_threshold: float = series.DEFAULT_PEAK_THRESHOLD
+    peak_basis: str = series.DEFAULT_PEAK_BASIS
+    lag_min: int = granger.LagSpec.min_lag
+    lag_max: int = granger.LagSpec.max_lag
     alpha: float = granger.DEFAULT_ALPHA
     bass_rmse_max: float = 0.05
     out_dir: Path = field(default_factory=lambda: Path("out"))

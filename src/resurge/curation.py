@@ -17,14 +17,14 @@ evidence beats the automatic filters.
 from __future__ import annotations
 
 import datetime as dt
-import math
 import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .series import PEAK_BASES, TimeSeries, align_pair, interpolate_daily, peak_window
+from .series import (DEFAULT_PEAK_BASIS, DEFAULT_PEAK_THRESHOLD, PEAK_BASES, TimeSeries, align_pair,
+                     interpolate_daily, peak_window)
 
 __all__ = [
     "DEFAULT_CUTOFF",
@@ -182,34 +182,31 @@ def partial_ratio(a: str, b: str) -> int:
 class _CatalogIndex:
     """A catalog prepared once for matching many display titles.
 
-    ``counts`` holds, for the titles and then the artists, a matrix whose row
-    i counts each character of entry i's normalized string over the catalog's
-    alphabet, and the string lengths.  The matrix's last column is all zero;
-    a display character outside the alphabet counts there.
+    ``entries`` holds the catalog in tie order: release date, then title,
+    then catalog position, so an entry's position is its rank among equal
+    scores.  ``counts[0]`` and ``counts[1]`` count each character of the
+    entries' normalized titles and artists over the catalog's alphabet, row
+    i for entry i, and ``lengths`` holds the string lengths.  The last
+    column is all zero; a display character outside the alphabet counts there.
     """
 
     def __init__(self, catalog: Sequence[CatalogEntry]) -> None:
-        self.entries = tuple(catalog)
+        # a stable sort: equal dates and titles keep their catalog order
+        self.entries = tuple(sorted(catalog, key=lambda e: (e.release_date, e.title)))
         self.texts = [(_MatchText(e.title), _MatchText(e.artist)) for e in self.entries]
         alphabet = sorted({ch for pair in self.texts for text in pair for ch in text.text})
         self.columns = {ch: j for j, ch in enumerate(alphabet)}
         size, width = len(self.entries), len(alphabet) + 1
-        self.counts = []
-        for k in (0, 1):
-            cells = [i * width + self.columns[ch] for i, pair in enumerate(self.texts) for ch in pair[k].text]
-            matrix = np.bincount(cells, minlength=size * width).reshape(size, width)
-            self.counts.append((matrix, matrix.sum(1)))
-        # equal scores go to the earlier release date, then the smaller title,
-        # then the earlier catalog position: one rank per entry
-        ties = sorted(range(size), key=lambda i: (self.entries[i].release_date, self.entries[i].title, i))
-        self.tie_ranks = np.empty(size, dtype=np.int64)
-        self.tie_ranks[ties] = np.arange(size)
+        cells = [(k * size + i) * width + self.columns[ch]
+                 for k in (0, 1) for i, pair in enumerate(self.texts) for ch in pair[k].text]
+        self.counts = np.bincount(cells, minlength=2 * size * width).reshape(2, size, width)
+        self.lengths = self.counts.sum(2)
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def bounds(self, display: _MatchText) -> list[np.ndarray]:
-        """Upper bounds on every entry's title and artist score against ``display``.
+    def bounds(self, display: _MatchText) -> np.ndarray:
+        """Upper bounds on every entry's title (row 0) and artist (row 1) score against ``display``.
 
         Every candidate's LCS is at most the size of the multiset intersection
         of the two strings' characters, and the whole-string candidate scores
@@ -219,11 +216,8 @@ class _CatalogIndex:
             [self.columns.get(ch, len(self.columns)) for ch in display.text],
             minlength=len(self.columns) + 1,
         )
-        bounds = []
-        for matrix, lengths in self.counts:
-            m = np.minimum(lengths, len(display.text))
-            bounds.append(_percent(_score(m, m, np.minimum(matrix, counts).sum(1))))
-        return bounds
+        m = np.minimum(self.lengths, len(display.text))
+        return _percent(_score(m, m, np.minimum(self.counts, counts).sum(2)))
 
 
 def match_catalog(
@@ -233,44 +227,41 @@ def match_catalog(
 ) -> CatalogEntry | None:
     """Best catalog entry whose title and artist both beat the threshold.
 
-    Both scores must be strictly above ``threshold`` against the record's
-    display title.  Candidates rank by the smaller of the two scores; ties
-    break toward the earlier release date, then the lexicographically
-    smaller title, then the earlier catalog position, so matching is
-    deterministic.  ``catalog`` is a ``_CatalogIndex`` or a sequence of
-    entries, which is indexed first.
+    Both scores must be strictly above the integer ``threshold`` against the
+    record's display title.  Candidates rank by the smaller of the two
+    scores; ties break toward the earlier release date, then the
+    lexicographically smaller title, then the earlier catalog position, so
+    matching is deterministic.  ``catalog`` is a ``_CatalogIndex`` or a
+    sequence of entries, which is indexed first.
 
-    Every entry gets an upper bound on both scores from character counts.
-    The entries whose bounds pass the threshold are visited best bound key
-    first and scored exactly; the visit stops at the first bound key that is
-    no better than the best exact key, since every later entry's exact key is
+    The rank is one integer key, ``(100 - score) * n + i`` for the entry at
+    position i of the n in tie order; smaller is better.  Every entry gets
+    an upper bound on both scores from character counts, so a bound key
+    never exceeds the exact key.  Entries are visited best bound key first
+    and scored exactly; the visit stops at the first bound key that is no
+    better than the best exact key, since every later entry's exact key is
     no better still (the threshold algorithm of Fagin, Lotem & Naor 2003).
     This never changes the match.
     """
     index = catalog if isinstance(catalog, _CatalogIndex) else _CatalogIndex(catalog)
-    if not index.entries:
+    n = len(index)
+    if not n:
         return None
     display = _MatchText(record.display_title)
-    title_bounds, artist_bounds = index.bounds(display)
-    low = np.minimum(title_bounds, artist_bounds)
-    passing = (low > threshold).nonzero()[0]
-    tie_ranks = index.tie_ranks
-    best_key: tuple = (math.inf,)  # ranks after every real key
+    bounds = index.bounds(display)
+    low = np.minimum(*bounds)
+    # a key beats this only if its score is above the threshold
+    best_key = (100 - threshold) * n
     best_entry = None
-    # keys are (-score, tie rank); a bound key is never worse than the exact key
-    for i in passing[np.lexsort((tie_ranks[passing], -low[passing]))].tolist():
-        tie = int(tie_ranks[i])
-        if (-int(low[i]), tie) >= best_key:
+    for i in np.argsort(-low, kind="stable").tolist():
+        if (100 - int(low[i])) * n + i >= best_key:
             break
         title, artist = index.texts[i]
-        score = min(_similarity(title, display), int(artist_bounds[i]))
-        if score <= threshold or (-score, tie) >= best_key:
-            continue
-        score = min(score, _similarity(artist, display))
-        if score <= threshold or (-score, tie) >= best_key:
-            continue
-        best_key = (-score, tie)
-        best_entry = index.entries[i]
+        score = min(_similarity(title, display), int(bounds[1, i]))
+        if (100 - score) * n + i < best_key:
+            key = (100 - min(score, _similarity(artist, display))) * n + i
+            if key < best_key:
+                best_key, best_entry = key, index.entries[i]
     return best_entry
 
 
@@ -281,8 +272,8 @@ def curate(
     min_points: int = DEFAULT_MIN_POINTS,
     allowlist: Iterable[str] = (),
     match_threshold: int = DEFAULT_MATCH_THRESHOLD,
-    peak_threshold: float = 0.05,
-    peak_basis: str = "total",
+    peak_threshold: float = DEFAULT_PEAK_THRESHOLD,
+    peak_basis: str = DEFAULT_PEAK_BASIS,
 ) -> tuple[list[SongRecord], CurationReport]:
     """Run the six-stage funnel and return kept records plus a full report.
 

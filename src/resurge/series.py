@@ -13,6 +13,8 @@ from typing import Literal, Sequence, get_args
 import numpy as np
 
 __all__ = [
+    "DEFAULT_PEAK_THRESHOLD",
+    "DEFAULT_PEAK_BASIS",
     "PEAK_BASES",
     "TimeSeries",
     "interpolate_daily",
@@ -24,6 +26,8 @@ __all__ = [
 
 PeakBasis = Literal["total", "peak"]
 PEAK_BASES: tuple[str, ...] = get_args(PeakBasis)
+DEFAULT_PEAK_THRESHOLD = 0.05
+DEFAULT_PEAK_BASIS: PeakBasis = "total"
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +131,8 @@ def interpolate_daily(series: TimeSeries) -> TimeSeries:
 
 def peak_window(
     series: TimeSeries,
-    threshold_fraction: float = 0.05,
-    basis: PeakBasis = "total",
+    threshold_fraction: float = DEFAULT_PEAK_THRESHOLD,
+    basis: PeakBasis = DEFAULT_PEAK_BASIS,
 ) -> TimeSeries:
     """The sub-series around the global peak where values stay on-threshold.
 
@@ -202,8 +206,7 @@ def ccdf(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("values must be a non-empty 1-d collection")
     if not np.isfinite(arr).all() or arr.min() < 0.0:
         raise ValueError("values must be finite and non-negative")
-    ordered = np.sort(arr)
-    distinct = np.unique(ordered)
+    distinct, counts = np.unique(arr, return_counts=True)
     n = arr.size
-    above = n - np.searchsorted(ordered, distinct, side="right")
+    above = n - np.cumsum(counts)
     return distinct, above / n

@@ -1,6 +1,7 @@
 """Fuzzy matching and funnel tests on hand-built fixtures."""
 
 import datetime as dt
+import random
 
 import numpy as np
 import pytest
@@ -224,13 +225,25 @@ def test_match_catalog_pruning_is_lossless(case, threshold):
     assert match_catalog(song("x", display), catalog, threshold) is expected
 
 
-@given(text_strategy, text_strategy)
+@st.composite
+def small_catalogs(draw):
+    """1-6 entries over two titles and two dates, so the index reorders them."""
+    titles = draw(st.lists(text_strategy, min_size=1, max_size=2))
+    dates = st.sampled_from([dt.date(2010, 1, 1), dt.date(2010, 1, 2)])
+    return draw(st.lists(st.builds(entry, st.sampled_from(titles), text_strategy, dates), min_size=1, max_size=6))
+
+
+@given(small_catalogs(), text_strategy)
 @settings(max_examples=200, deadline=None)
-def test_similarity_bound_never_below_exact_score(a, b):
-    # the index's vectorized bound; b's characters may lie outside a's alphabet
-    title_bounds, artist_bounds = curation._CatalogIndex([entry(a, a)]).bounds(curation._MatchText(b))
-    for bound in (title_bounds[0], artist_bounds[0]):
-        assert bound >= oracles.partial_ratio_windows(a, b)
+def test_similarity_bound_never_below_exact_score(catalog, b):
+    # the index's vectorized bound; b's characters may lie outside the catalog's
+    # alphabet, and column j of each row belongs to the index's entry j
+    index = curation._CatalogIndex(catalog)
+    assert sorted(map(id, index.entries)) == sorted(map(id, catalog))
+    title_bounds, artist_bounds = index.bounds(curation._MatchText(b))
+    for j, e in enumerate(index.entries):
+        assert title_bounds[j] >= oracles.partial_ratio_windows(e.title, b)
+        assert artist_bounds[j] >= oracles.partial_ratio_windows(e.artist, b)
 
 
 short_words = st.text(alphabet="abc de", min_size=1, max_size=8).filter(lambda s: s.strip())
@@ -293,6 +306,37 @@ def test_index_matches_the_reference_on_decoy_catalogs(case, threshold):
     for display in displays:
         expected = oracles.match_catalog_reference(display, catalog, threshold)
         assert match_catalog(song("x", display), index, threshold) is expected, display
+
+
+def test_matcher_work_is_pinned(monkeypatch):
+    """The exact scorings per display against a seeded 1000-entry catalog.
+
+    A title absent from the catalog but written in its letters is the count
+    bound's worst case: most entries pass it.  The counts are frozen, so a
+    weaker bound or a visit that stops later shows here.
+    """
+    rng = random.Random(13)
+    word = lambda: "".join(rng.choice("abcdefghiklmnoprst") for _ in range(rng.randint(3, 8)))
+    start = dt.date(2000, 1, 1)
+    catalog = [entry(f"{word()} {word()}", word(), start + dt.timedelta(days=rng.randrange(6000)))
+               for _ in range(1000)]
+    absent, named = f"{word()} {word()} by {word()}", catalog[500]
+    index = curation._CatalogIndex(catalog)
+    scorings = []
+    similarity = curation._similarity
+
+    def counted(a, b):
+        scorings[-1] += 1
+        return similarity(a, b)
+
+    monkeypatch.setattr(curation, "_similarity", counted)
+    displays = [absent, f"{named.title} by {named.artist}", f"{named.title} (live) by {named.artist}"]
+    matches = []
+    for display in displays:
+        scorings.append(0)
+        matches.append(match_catalog(song("x", display), index))
+    assert matches[0] is None and matches[1] is named and matches[2] is named
+    assert scorings == [438, 2, 2]
 
 
 def test_catalog_entry_validation():
