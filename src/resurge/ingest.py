@@ -60,12 +60,14 @@ _DATE_RE = re.compile(_DATE)
 
 _SERIES_HEADER = ["date", "value"]
 # the exact form write_series_file writes: header, then "date,value\n" rows
-# with no whitespace, comments, blank lines or "\r".  The body gate checks
-# layout and characters only; on a value that starts with a digit or "." and
-# holds only [0-9.eE+-], float() accepts exactly the strings _VALUE matches,
-# so float() decides the value grammar.  Date classes are spelled out, which
-# the regex engine runs faster than [0-9]{4}.  Both the reader and the writer
-# take the dates of a daily run from the date calendar, _calendar below
+# with no whitespace, comments, blank lines or "\r".  _bulk_series vouches
+# for a daily body without the regex; any other body must match it.  The
+# regex checks layout and characters only; on a value that starts with a
+# digit or "." and holds only [0-9.eE+-], float() accepts exactly the strings
+# _VALUE matches, so float() decides the value grammar.  Date classes are
+# spelled out, which the regex engine runs faster than [0-9]{4}.  Both the
+# reader and the writer take the dates of a daily run from the date calendar,
+# _calendar below
 _CANONICAL_SERIES_HEADER = "date,value\n"
 _CANONICAL_SERIES_BODY_RE = re.compile(
     r"(?:[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9],[0-9.][0-9.eE+-]*\n)+"
@@ -176,31 +178,43 @@ def _content_lines(text: str) -> Iterable[tuple[int, str]]:
 def _bulk_series(text: str) -> TimeSeries | None:
     """The series of a file in canonical form, or None for the line reader to handle.
 
-    One regex checks the row layout and the characters of each field;
-    ``float()`` then decides the value grammar, which on those characters is
-    exactly the line reader's.  Only the first and last dates are parsed
-    when the date column is the date calendar's run of consecutive days
-    between them: a calendar text is the one spelling of its day, so those
-    are the days the line reader would read.  Any other date column is
-    parsed row by row.  It uses the same conversions as the line reader, so
-    whatever it returns is what the line reader would return.  Anything it
-    cannot vouch for (another layout, a value ``float()`` rejects, a date
-    that does not exist, an overflowing value, unsorted or repeated days) is
-    left to the line reader, which alone reports errors.
+    A daily file is vouched for without a regex: its body less the digits
+    and ``.eE`` must be ``--,\\n`` once per row, with nothing after the last
+    newline, and its date column the date calendar's run of consecutive days
+    between the first and last dates.  Then each row is ``<date>,<value>\\n``,
+    each value holds only ``0-9.eE``, and each date is the one spelling of
+    its day, so only the two ends are parsed.  Any other file must match one
+    regex that checks the row layout and the characters of each field; its
+    dates are still taken from the calendar where they run day by day, and
+    parsed row by row elsewhere.  Either way ``float()`` then decides the
+    value grammar, which on those characters is exactly the line reader's.
+    It uses the same conversions as the line reader, so whatever it returns
+    is what the line reader would return.  Anything it cannot vouch for
+    (another layout, a value ``float()`` rejects, a date that does not
+    exist, an overflowing value, unsorted or repeated days) is left to the
+    line reader, which alone reports errors.
     """
     start = len(_CANONICAL_SERIES_HEADER)
-    if not (text.startswith(_CANONICAL_SERIES_HEADER)
-            and _CANONICAL_SERIES_BODY_RE.fullmatch(text, start)):
+    if not text.startswith(_CANONICAL_SERIES_HEADER):
         return None
-    # "d1,v1\nd2,v2\n" -> [d1, v1, d2, v2, ""]
-    fields = text[start:].replace("\n", ",").split(",")
+    body = text[start:]
+    # "d1,v1\nd2,v2\n" -> [d1, v1, d2, v2, ""]; a last field that is not
+    # empty holds bytes after the last newline, which the translate may delete
+    fields = body.replace("\n", ",").split(",")
     count = len(fields) // 2
+    laid_out = (count > 0 and fields[-1] == "" and body.isascii()
+                and body.encode().translate(None, b"0123456789.eE") == b"--,\n" * count)
+    if not (laid_out or _CANONICAL_SERIES_BODY_RE.fullmatch(body)):
+        return None
     dates = fields[0:-1:2]
     try:
         # both ends are real dates, so a run between them stays in years 1 to 9999
         first, last = (dt.date.fromisoformat(dates[i]).toordinal() for i in (0, -1))
         if last - first + 1 == count and dates == _calendar(first, count):
             days = np.arange(first, first + count, dtype=np.int64)
+        elif laid_out and not _CANONICAL_SERIES_BODY_RE.fullmatch(body):
+            # without the calendar's texts, the layout is the regex's to vouch for
+            return None
         else:
             days = np.fromiter(
                 map(dt.date.toordinal, map(dt.date.fromisoformat, dates)),
@@ -520,11 +534,13 @@ def _encode_column(column, kind, nullable: bool, format: str, encoded: dict) -> 
         return [_CONSTANTS[format][None] if cell is None else next(texts) for cell in column]
     if kind is float:
         # one % call spells the whole column; the split leaves a last, empty text
-        texts = ("%.12g\n" * len(column) % tuple(column)).split("\n")[:-1]
-        if format == "csv":
-            return texts
+        joined = "%.12g\n" * len(column) % tuple(column)
+        texts = joined.split("\n")[:-1]
         # with a point and no exponent, 12 digits are already the shortest repr
-        # of their float
+        # of their float; a text holds at most one point, and nan and inf none,
+        # so a point per text and no "e" in the chunk vouch for every cell
+        if format == "csv" or ("e" not in joined and joined.count(".") == len(texts)):
+            return texts
         return [text if "." in text and "e" not in text else _jsonl_float(text) for text in texts]
     if kind is int:
         return map(int.__repr__, column)

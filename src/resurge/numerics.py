@@ -85,13 +85,13 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsSolution:
         raise ValueError("design needs at least as many rows as columns")
 
     norms = np.sqrt(np.add.reduce(X * X, axis=0))  # np.linalg.norm(X, axis=0), bit for bit
-    if not (norms > 0.0).all():
+    if not np.logical_and.reduce(norms > 0.0):
         raise ValueError("singular design matrix")
     augmented = np.empty((n, k + 1))
     np.divide(X, norms, out=augmented[:, :k])
     augmented[:, k] = y
     r = np.linalg.qr(augmented, mode="raw")[0].T  # R is its upper triangle
-    if np.abs(r.diagonal()[:k]).min() < _RANK_RTOL:
+    if np.minimum.reduce(np.abs(r.diagonal()[:k])) < _RANK_RTOL:
         raise ValueError("singular design matrix")
     return OlsSolution(ssr=float(r[k, k]) ** 2 if n > k else 0.0, effects=r[:k, k])
 

@@ -49,12 +49,14 @@ class TimeSeries:
             raise ValueError("days and values must be 1-d arrays of equal length")
         if days.size < 1:
             raise ValueError("series must contain at least one point")
-        # element-wise, so a gap past int64 cannot wrap round as np.diff's would
-        if not (days[1:] > days[:-1]).all():
+        # the ufuncs' reduce skips the Python-level wrappers of ndarray.all() and
+        # .min(); the comparison is element-wise, so a gap past int64 cannot
+        # wrap round as np.diff's would
+        if not np.logical_and.reduce(days[1:] > days[:-1]):
             raise ValueError("days must be strictly increasing")
-        if not np.isfinite(values).all():
+        if not np.logical_and.reduce(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if values.min() < 0.0:
+        if np.minimum.reduce(values) < 0.0:
             raise ValueError("values must be non-negative")
         # -0.0 + 0.0 is 0.0 and x + 0.0 is x for every other x, bit for bit;
         # the series file grammar has no sign, so -0.0 could not be written back

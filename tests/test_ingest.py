@@ -272,30 +272,48 @@ _MAX_DAY = dt.date.max.toordinal()  # 3_652_059, 9999-12-31
 # one-row edits that a canonical file can suffer: characters float() reads
 # that the grammar does not, values it rejects, and broken layouts
 _VALUE_INSERTS = ["+", "-", "_", " ", "\t", ".", "e"]
-_VALUE_REPLACEMENTS = ["inf", "nan", "Infinity", "1e400", ".", "e"]
+# signed exponents are valid values, spelt as repr spells them
+_VALUE_REPLACEMENTS = ["inf", "nan", "Infinity", "1e400", ".", "e", "", "1e-05", "1e+16"]
+_SIGNS = ["+", "-0", "-"]
 _ROW_INSERTS = [",", "\r"]
 _DIGIT_ZEROS = [0x660, 0xFF10]  # Arabic-Indic and full-width digit zero
+_PLAIN_VALUES = st.integers(0, 10**15).map(lambda k: k / 1000)  # repr has no exponent
 
 
 @st.composite
-def perturbed_series_texts(draw):
-    """A canonical series file's text with at most one row edited."""
-    rows = draw(st.lists(
-        st.tuples(st.integers(1, _MAX_DAY), st.floats(0.0, 1e300)),
-        min_size=1, max_size=20, unique_by=lambda row: row[0],
-    ))
-    rows.sort()
+def perturbed_series_texts(draw, daily=False):
+    """A canonical series file's text with at most one row edited.
+
+    With *daily*, the rows are a run of consecutive days, which random
+    unique days almost never form.
+    """
+    if daily:
+        # a file's values all spelt without an exponent, or from the whole range
+        elements = draw(st.sampled_from([_PLAIN_VALUES, st.floats(0.0, 1e300)]))
+        values = draw(st.lists(elements, min_size=1, max_size=20))
+        first = draw(st.integers(1, _MAX_DAY - len(values) + 1))
+        rows = list(enumerate(values, start=first))
+    else:
+        rows = draw(st.lists(
+            st.tuples(st.integers(1, _MAX_DAY), st.floats(0.0, 1e300)),
+            min_size=1, max_size=20, unique_by=lambda row: row[0],
+        ))
+        rows.sort()
     lines = [f"{dt.date.fromordinal(day).isoformat()},{value!r}" for day, value in rows]
+    ends = ["\n"] * len(lines)
     index = draw(st.integers(0, len(lines) - 1))
     date, value = lines[index].split(",")
     edit = draw(st.sampled_from(
-        ["none", "value_insert", "value_replace", "digit", "row_insert", "final_newline"]
+        ["none", "value_insert", "value_replace", "sign", "digit", "row_insert", "swap",
+         "final_newline", "trailing"]
     ))
     if edit == "value_insert":
         at = draw(st.integers(0, len(value)))
         value = value[:at] + draw(st.sampled_from(_VALUE_INSERTS)) + value[at:]
     elif edit == "value_replace":
         value = draw(st.sampled_from(_VALUE_REPLACEMENTS))
+    elif edit == "sign":
+        value = draw(st.sampled_from(_SIGNS)) + value
     elif edit == "digit":
         at = draw(st.sampled_from([i for i, char in enumerate(value) if char.isdigit()]))
         value = value[:at] + chr(draw(st.sampled_from(_DIGIT_ZEROS)) + int(value[at])) + value[at + 1:]
@@ -303,8 +321,13 @@ def perturbed_series_texts(draw):
     if edit == "row_insert":
         at = draw(st.integers(0, len(line)))
         line = line[:at] + draw(st.sampled_from(_ROW_INSERTS)) + line[at:]
+    elif edit == "swap":
+        # the row's comma and newline trade places: "d1\nv1,d2,v2\n"
+        line, ends[index] = f"{date}\n{value}", ","
     lines[index] = line
-    text = "date,value\n" + "".join(line + "\n" for line in lines)
+    text = "date,value\n" + "".join(map(str.__add__, lines, ends))
+    if edit == "trailing":
+        text += draw(st.text("0123456789.eE-,", min_size=1, max_size=12))
     return text[:-1] if edit == "final_newline" else text
 
 
@@ -390,6 +413,57 @@ def test_consecutive_days_are_read_from_the_calendar(tmp_path_factory, run):
     lines = ingest._parse_series_lines(path, text)
     assert bulk.days.tobytes() == lines.days.tobytes()
     assert bulk.values.tobytes() == lines.values.tobytes()
+
+
+@pytest.mark.bit_identity
+@given(perturbed_series_texts(daily=True))
+# bytes after the last newline, which the bulk reader's translate deletes
+@example("date,value\n2021-01-01,5\n1")
+@example("date,value\n2021-01-01\n5,2021-01-02,6\n")
+@example("date,value\n2021-01-01,+5\n2021-01-02,6\n")
+@example("date,value\n2021-01-01,-0\n")
+@example("date,value\n2021-01-01,\n2021-01-02,6\n")
+@example("date,value\n2021-01-01,1e-05\n2021-01-02,1e+16\n")
+@example("date,value\n2021-01-01,5\n2021-01-02,\u0661\n")
+@settings(max_examples=200, deadline=None)
+def test_daily_runs_are_read_as_the_reference_reads_them(tmp_path_factory, text):
+    bulk = ingest._bulk_series(text)
+    reference = bulk_series_reference(text)
+    assert (bulk is None) == (reference is None)
+    if bulk is not None:
+        assert bulk.days.tobytes() == reference.days.tobytes()
+        assert bulk.values.tobytes() == reference.values.tobytes()
+
+    path = tmp_path_factory.mktemp("daily") / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(lambda: parse_series_file(path)) == _outcome_as_before(path, text)
+
+
+class _CountingRegex:
+    """A compiled regex that counts its ``fullmatch`` calls."""
+
+    def __init__(self, regex):
+        self.regex, self.calls = regex, 0
+
+    def fullmatch(self, *args):
+        self.calls += 1
+        return self.regex.fullmatch(*args)
+
+
+@pytest.mark.parametrize("text, calls", [
+    (_daily_text(dt.date(2021, 1, 1).toordinal(), [0.5, 12.0, 1234.25] * 140), 0),
+    ("date,value\n2021-01-01,1.0\n2021-01-02,2.0\n2021-01-04,3.0\n", 1),
+    (_daily_text(dt.date(2021, 1, 1).toordinal(), [0.5, 1e-05, 12.0]), 1),
+], ids=["daily", "gapped", "daily-signed-exponent"])
+def test_layout_regex_work_is_pinned(monkeypatch, text, calls):
+    """The layout regex runs only where the translate and the calendar cannot vouch."""
+    counting = _CountingRegex(ingest._CANONICAL_SERIES_BODY_RE)
+    monkeypatch.setattr(ingest, "_CANONICAL_SERIES_BODY_RE", counting)
+    bulk = ingest._bulk_series(text)
+    reference = bulk_series_reference(text)
+    assert bulk.days.tobytes() == reference.days.tobytes()
+    assert bulk.values.tobytes() == reference.values.tobytes()
+    assert counting.calls == calls
 
 
 @pytest.mark.bit_identity
@@ -1047,6 +1121,22 @@ _pools = st.one_of(
     st.tuples(st.just(str), st.lists(_texts | st.none(), min_size=1, max_size=5)),
     st.tuples(st.just(bool), st.lists(st.booleans() | st.none(), min_size=1, max_size=3)),
 )
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, -0.0, 3.0, 1e16, 2.5e-7])
+@pytest.mark.parametrize("row", [0, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_jsonl_respells_the_one_cell_of_a_chunk_that_needs_it(tmp_path, special, row):
+    # every other cell's 12 digits hold a point and no exponent, which is
+    # already the shortest repr
+    values = [0.5 + i for i in range(2 * _CHUNK)]
+    values[row] = special
+    path = tmp_path / "r.jsonl"
+    write_report(Table(values), [("x", float)], path, "jsonl")
+    # the rule per cell: json's spelling of the float that %.12g spells
+    assert path.read_text().splitlines() == [
+        '{"x": %s}' % json.dumps(float("%.12g" % value)) for value in values
+    ]
 
 
 # an array column of each kind that has one; a column of str is a list only
