@@ -12,7 +12,8 @@ all of them have succeeded; an input error therefore exits 1 and leaves
 prints its summary.  So ``pipeline`` writes the same bytes, and prints the
 same lines, as ``curate``, ``granger`` and ``bass`` run one after another.
 
-Every output file is ``<stage>_<schema>.<ext>`` inside --out-dir.
+Every report file is ``<stage>_<schema>.<ext>`` inside --out-dir; curate also
+writes ``curate_manifest.json`` and ``curate_series/<song_id>__<platform>.csv``.
 """
 
 from __future__ import annotations

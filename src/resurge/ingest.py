@@ -60,18 +60,8 @@ _DATE_RE = re.compile(_DATE)
 
 _SERIES_HEADER = ["date", "value"]
 # the exact form write_series_file writes: header, then "date,value\n" rows
-# with no whitespace, comments, blank lines or "\r".  _bulk_series vouches
-# for a daily body without the regex; any other body must match it.  The
-# regex checks layout and characters only; on a value that starts with a
-# digit or "." and holds only [0-9.eE+-], float() accepts exactly the strings
-# _VALUE matches, so float() decides the value grammar.  Date classes are
-# spelled out, which the regex engine runs faster than [0-9]{4}.  Both the
-# reader and the writer take the dates of a daily run from the date calendar,
-# _calendar below
+# with no whitespace, comments, blank lines or "\r"
 _CANONICAL_SERIES_HEADER = "date,value\n"
-_CANONICAL_SERIES_BODY_RE = re.compile(
-    r"(?:[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9],[0-9.][0-9.eE+-]*\n)+"
-)
 _MAX_ORDINAL = dt.date.max.toordinal()
 # years of the date calendar kept spelt, about 25 KB each
 _CALENDAR_YEARS = 64
@@ -178,21 +168,16 @@ def _content_lines(text: str) -> Iterable[tuple[int, str]]:
 def _bulk_series(text: str) -> TimeSeries | None:
     """The series of a file in canonical form, or None for the line reader to handle.
 
-    A daily file is vouched for without a regex: its body less the digits
-    and ``.eE`` must be ``--,\\n`` once per row, with nothing after the last
-    newline, and its date column the date calendar's run of consecutive days
-    between the first and last dates.  Then each row is ``<date>,<value>\\n``,
-    each value holds only ``0-9.eE``, and each date is the one spelling of
-    its day, so only the two ends are parsed.  Any other file must match one
-    regex that checks the row layout and the characters of each field; its
-    dates are still taken from the calendar where they run day by day, and
-    parsed row by row elsewhere.  Either way ``float()`` then decides the
-    value grammar, which on those characters is exactly the line reader's.
-    It uses the same conversions as the line reader, so whatever it returns
-    is what the line reader would return.  Anything it cannot vouch for
-    (another layout, a value ``float()`` rejects, a date that does not
-    exist, an overflowing value, unsorted or repeated days) is left to the
-    line reader, which alone reports errors.
+    Its one gate: the body less the digits and ``.eE`` must be ``--,\\n``
+    once per row, with nothing after the last newline.  Then each row is
+    ``<date>,<value>\\n`` and each field holds only ``0-9.eE``, where
+    ``float()`` accepts exactly the values the line reader accepts.  A date
+    column that is the date calendar's run of days between its ends needs
+    only the ends parsed; any other is checked and parsed row by row.  The
+    conversions are the line reader's, so whatever it returns is what the
+    line reader would.  Anything else (a signed exponent, a value ``float()``
+    rejects, a date that does not exist, an overflowing value, unsorted or
+    repeated days) is left to the line reader, which alone reports errors.
     """
     start = len(_CANONICAL_SERIES_HEADER)
     if not text.startswith(_CANONICAL_SERIES_HEADER):
@@ -202,9 +187,8 @@ def _bulk_series(text: str) -> TimeSeries | None:
     # empty holds bytes after the last newline, which the translate may delete
     fields = body.replace("\n", ",").split(",")
     count = len(fields) // 2
-    laid_out = (count > 0 and fields[-1] == "" and body.isascii()
-                and body.encode().translate(None, b"0123456789.eE") == b"--,\n" * count)
-    if not (laid_out or _CANONICAL_SERIES_BODY_RE.fullmatch(body)):
+    if not (count > 0 and fields[-1] == "" and body.isascii()
+            and body.encode().translate(None, b"0123456789.eE") == b"--,\n" * count):
         return None
     dates = fields[0:-1:2]
     try:
@@ -212,8 +196,7 @@ def _bulk_series(text: str) -> TimeSeries | None:
         first, last = (dt.date.fromisoformat(dates[i]).toordinal() for i in (0, -1))
         if last - first + 1 == count and dates == _calendar(first, count):
             days = np.arange(first, first + count, dtype=np.int64)
-        elif laid_out and not _CANONICAL_SERIES_BODY_RE.fullmatch(body):
-            # without the calendar's texts, the layout is the regex's to vouch for
+        elif not all(map(_DATE_RE.fullmatch, dates)):
             return None
         else:
             days = np.fromiter(
@@ -232,9 +215,10 @@ def parse_series_file(path) -> TimeSeries:
 
     Blank lines and ``#`` comments are skipped.  Duplicate dates are an
     error naming both offending lines.  A file in the form
-    :func:`write_series_file` writes is converted in bulk, its dates matched
-    against the date calendar where they run day by day; any other file goes
-    through the line reader, with the same result.
+    :func:`write_series_file` writes whose values hold no sign (no ``1e-05``)
+    is converted in bulk, its dates matched against the date calendar where
+    they run day by day; any other file goes through the line reader, with
+    the same result.
     """
     text = _read_text(path)
     series = _bulk_series(text)

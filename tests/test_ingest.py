@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _BULK_BODY_RE,
     bulk_series_reference,
     read_report,
     write_report_reference,
@@ -57,7 +58,7 @@ def test_parse_sorts_rows(tmp_path):
     shuffled = tmp_path / "a.csv"
     shuffled.write_text("date,value\n2021-01-03,3\n2021-01-01,1\n2021-01-02,2\n")
     # canonical in form, so it passes the bulk gate before the line reader sorts it
-    assert ingest._CANONICAL_SERIES_BODY_RE.fullmatch(shuffled.read_text()[len("date,value\n"):])
+    assert _BULK_BODY_RE.fullmatch(shuffled.read_text(), len("date,value\n"))
     ordered = tmp_path / "b.csv"
     ordered.write_text("date,value\n2021-01-01,1\n2021-01-02,2\n2021-01-03,3\n")
     assert parse_series_file(shuffled) == parse_series_file(ordered)
@@ -128,7 +129,7 @@ def test_parse_duplicate_date_names_both_lines(tmp_path):
 )
 def test_canonical_file_errors_come_from_the_line_reader(tmp_path, body, message):
     # each file passes the bulk gate, so the line reader must report the error
-    assert ingest._CANONICAL_SERIES_BODY_RE.fullmatch(body)
+    assert _BULK_BODY_RE.fullmatch(body)
     path = tmp_path / "s.csv"
     path.write_text("date,value\n" + body)
     with pytest.raises(ParseError) as info:
@@ -219,7 +220,8 @@ def test_line_reader_matches_bulk_path(tmp_path_factory, rows, rng):
         TimeSeries(days=[d for d, _ in rows], values=[v for _, v in rows]), canonical
     )
     text = canonical.read_text(encoding="utf-8")
-    assert ingest._bulk_series(text) is not None
+    # a signed exponent (1e-05, 1e+16) sends the file to the line reader
+    assert (ingest._bulk_series(text) is None) == _holds_sign(text)
     expected = parse_series_file(canonical)
 
     header, *lines = text.splitlines()
@@ -246,16 +248,19 @@ def test_line_reader_matches_bulk_path(tmp_path_factory, rows, rng):
 
 def test_float_accepts_exactly_the_values_the_line_reader_accepts():
     # the bulk gate checks only characters, so float() decides the grammar of
-    # every value it admits; this alphabet holds a zero, a nonzero digit and
-    # each other character the gate allows
+    # every value it admits, any text over 0-9.eE; it agrees with _VALUE too
+    # on any text that starts with a digit or "." and holds only 0-9.eE+-,
+    # signed exponents included.  This alphabet holds a zero, a nonzero digit
+    # and each of the other characters
     admitted = 0
     mismatches = []
     for length in range(1, 7):
         for chars in itertools.product("05.eE+-", repeat=length):
             text = "".join(chars)
-            if not ingest._CANONICAL_SERIES_BODY_RE.fullmatch(f"2021-01-01,{text}\n"):
+            starts_as_a_value = text[0] in "05."
+            if not starts_as_a_value and ("+" in text or "-" in text):
                 continue
-            admitted += 1
+            admitted += starts_as_a_value
             try:
                 float(text)
                 accepted = True
@@ -265,6 +270,11 @@ def test_float_accepts_exactly_the_values_the_line_reader_accepts():
                 mismatches.append(text)
     assert admitted == 58_824
     assert mismatches == []
+
+
+def _holds_sign(text: str) -> bool:
+    """Whether a value of a series file's text, a field after a comma, holds ``+`` or ``-``."""
+    return re.search(r",[^,\n]*[+-]", text) is not None
 
 
 _MAX_DAY = dt.date.max.toordinal()  # 3_652_059, 9999-12-31
@@ -339,7 +349,7 @@ def perturbed_series_texts(draw, daily=False):
 def test_bulk_reader_matches_the_grammar_in_regex_reference(tmp_path_factory, text):
     bulk = ingest._bulk_series(text)
     reference = bulk_series_reference(text)
-    assert (bulk is None) == (reference is None)
+    assert (bulk is None) == (reference is None or _holds_sign(text))
     if bulk is not None:
         assert bulk.days.tobytes() == reference.days.tobytes()
         assert bulk.values.tobytes() == reference.values.tobytes()
@@ -381,7 +391,10 @@ def _daily_text(first: int, values) -> str:
 def daily_runs(draw):
     """The first day and values of a run of consecutive days in years 1 to 9999."""
     first = draw(st.integers(1, _MAX_DAY))
-    values = draw(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=800))
+    # values all spelt without an exponent, or from the whole range, where
+    # most long runs hold a signed exponent
+    elements = draw(st.sampled_from([_PLAIN_VALUES, st.floats(0.0, 1e300)]))
+    values = draw(st.lists(elements, min_size=1, max_size=800))
     return first, values[: _MAX_DAY - first + 1]
 
 
@@ -401,18 +414,22 @@ def test_consecutive_days_are_read_from_the_calendar(tmp_path_factory, run):
     first, values = run
     text = _daily_text(first, values)
     years = dt.date.fromordinal(first + len(values) - 1).year - dt.date.fromordinal(first).year + 1
+    signed = _holds_sign(text)
     before = _calendar_lookups()
     bulk = ingest._bulk_series(text)
-    # one calendar lookup for each year the run spans, and none for any other file
-    assert _calendar_lookups() - before == years
+    # one calendar lookup for each year the run spans, and none for a file
+    # the gate sends to the line reader
+    assert _calendar_lookups() - before == (0 if signed else years)
+    assert (bulk is None) == signed
     reference = bulk_series_reference(text)
-    assert bulk.days.tobytes() == reference.days.tobytes()
-    assert bulk.values.tobytes() == reference.values.tobytes()
     path = tmp_path_factory.mktemp("daily") / "s.csv"
     path.write_text(text, encoding="utf-8")
     lines = ingest._parse_series_lines(path, text)
-    assert bulk.days.tobytes() == lines.days.tobytes()
-    assert bulk.values.tobytes() == lines.values.tobytes()
+    assert reference.days.tobytes() == lines.days.tobytes()
+    assert reference.values.tobytes() == lines.values.tobytes()
+    if bulk is not None:
+        assert bulk.days.tobytes() == reference.days.tobytes()
+        assert bulk.values.tobytes() == reference.values.tobytes()
 
 
 @pytest.mark.bit_identity
@@ -429,7 +446,7 @@ def test_consecutive_days_are_read_from_the_calendar(tmp_path_factory, run):
 def test_daily_runs_are_read_as_the_reference_reads_them(tmp_path_factory, text):
     bulk = ingest._bulk_series(text)
     reference = bulk_series_reference(text)
-    assert (bulk is None) == (reference is None)
+    assert (bulk is None) == (reference is None or _holds_sign(text))
     if bulk is not None:
         assert bulk.days.tobytes() == reference.days.tobytes()
         assert bulk.values.tobytes() == reference.values.tobytes()
@@ -452,18 +469,20 @@ class _CountingRegex:
 
 @pytest.mark.parametrize("text, calls", [
     (_daily_text(dt.date(2021, 1, 1).toordinal(), [0.5, 12.0, 1234.25] * 140), 0),
-    ("date,value\n2021-01-01,1.0\n2021-01-02,2.0\n2021-01-04,3.0\n", 1),
-    (_daily_text(dt.date(2021, 1, 1).toordinal(), [0.5, 1e-05, 12.0]), 1),
+    ("date,value\n2021-01-01,1.0\n2021-01-02,2.0\n2021-01-04,3.0\n", 3),
+    (_daily_text(dt.date(2021, 1, 1).toordinal(), [0.5, 1e-05, 12.0]), 0),
 ], ids=["daily", "gapped", "daily-signed-exponent"])
-def test_layout_regex_work_is_pinned(monkeypatch, text, calls):
-    """The layout regex runs only where the translate and the calendar cannot vouch."""
-    counting = _CountingRegex(ingest._CANONICAL_SERIES_BODY_RE)
-    monkeypatch.setattr(ingest, "_CANONICAL_SERIES_BODY_RE", counting)
+def test_per_row_date_work_is_pinned(monkeypatch, text, calls):
+    """Dates are matched one by one only where the calendar cannot vouch for them."""
+    counting = _CountingRegex(ingest._DATE_RE)
+    monkeypatch.setattr(ingest, "_DATE_RE", counting)
     bulk = ingest._bulk_series(text)
-    reference = bulk_series_reference(text)
-    assert bulk.days.tobytes() == reference.days.tobytes()
-    assert bulk.values.tobytes() == reference.values.tobytes()
     assert counting.calls == calls
+    assert (bulk is None) == _holds_sign(text)
+    if bulk is not None:
+        reference = bulk_series_reference(text)
+        assert bulk.days.tobytes() == reference.days.tobytes()
+        assert bulk.values.tobytes() == reference.values.tobytes()
 
 
 @pytest.mark.bit_identity
@@ -482,7 +501,7 @@ def test_layout_regex_work_is_pinned(monkeypatch, text, calls):
         "2021-02-29-first", "2100-02-29", "2100-02-29-in-run", "2100-02-29-last"])
 def test_other_canonical_dates_are_read_as_before(tmp_path, dates, lookups):
     text = "date,value\n" + "".join(f"{date},{k}\n" for k, date in enumerate(dates))
-    assert ingest._CANONICAL_SERIES_BODY_RE.fullmatch(text, len("date,value\n"))
+    assert _BULK_BODY_RE.fullmatch(text, len("date,value\n"))
     path = tmp_path / "s.csv"
     path.write_text(text, encoding="utf-8")
     before = _calendar_lookups()
